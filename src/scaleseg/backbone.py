@@ -26,6 +26,7 @@ from .layers import (
     attention_fwd,
     grid_pool_bwd,
     grid_pool_fwd,
+    grid_pool_groups,
     interp_apply_bwd,
     interp_apply_fwd,
     interp_weights,
@@ -182,18 +183,76 @@ def num_params(params):
 
 
 # ---------------------------------------------------------------------------
+# geometry: everything that depends on positions only, never on parameters
+
+@dataclass(frozen=True)
+class StagePlan:
+    """Geometry of one encoder stage."""
+
+    positions: np.ndarray  # (N_t, 3) points the stage attends over
+    pool: tuple            # grid_pool_groups from the previous stage; None at stage 0
+    neighbors: np.ndarray  # (N_t, k) attention KNN ids
+
+
+@dataclass(frozen=True)
+class ScalePlan:
+    """Geometry of one partition: encoder stages plus decode interpolation.
+
+    Positions stay fixed while a scale trains, so a plan built once can
+    serve every epoch; encode and decode then only run the dense layers.
+    """
+
+    stages: tuple               # StagePlan per encoder stage
+    interp_ids: np.ndarray      # (N, m) neighbors among the last stage's points
+    interp_weights: np.ndarray  # (N, m) inverse-distance weights
+
+
+def plan_stages(positions, base_voxel, cfg, counter=None):
+    """Pooled positions, pooling groups and attention KNN ids per stage."""
+    stages = []
+    cur, pool = positions, None
+    for t in range(cfg.encoder_stages):
+        if t:
+            pool = grid_pool_groups(cur, base_voxel * cfg.downsample_factor ** t)
+            cur = pool[0]
+        idx, _ = counted_knn(cur, cur, min(cfg.attention_neighbors, cur.shape[0]),
+                             counter)
+        stages.append(StagePlan(cur, pool, idx))
+    return tuple(stages)
+
+
+def plan_interp(src_positions, positions, cfg, counter=None):
+    """Decode interpolation (ids, weights) from src_positions onto positions."""
+    idx, d2 = counted_knn(src_positions, positions,
+                          min(cfg.interp_neighbors, src_positions.shape[0]), counter)
+    return idx, interp_weights(np.sqrt(d2))
+
+
+def plan_scale(positions, base_voxel, cfg, counter=None):
+    """All parameter-free geometry of one partition, N >= 1."""
+    if positions.shape[0] < 1:
+        raise ValueError("plan_scale requires a non-empty partition")
+    stages = plan_stages(positions, base_voxel, cfg, counter)
+    return ScalePlan(stages, *plan_interp(stages[-1].positions, positions, cfg,
+                                          counter))
+
+
+# ---------------------------------------------------------------------------
 # encode
 
 def encode(model, positions, feats_in, base_voxel, cfg, scale_id=1,
-           counter=None, need_cache=True):
+           counter=None, need_cache=True, plan=None):
     """Partition points -> FeatureMatrix at the coarsest stage.
 
     positions (N, 3), feats_in (N, in_dim), N >= 1. base_voxel is the
     partition's own voxel size; it anchors the per-stage pooling grids.
+    plan: a ScalePlan of these positions; built here when omitted.
     """
     n = positions.shape[0]
     if n < 1:
         raise ValueError("encode requires a non-empty partition")
+    stages = (plan.stages if plan is not None
+              else plan_stages(positions, base_voxel, cfg, counter))
     p = model.params
     # Center the coordinate features on the bounding-box midpoint so the
     # embedding never sees raw scene offsets. min/max (unlike a mean)
@@ -203,23 +262,21 @@ def encode(model, positions, feats_in, base_voxel, cfg, scale_id=1,
     feats_in[:, :3] -= mid
     h, ec = mlp2_fwd(feats_in, p["embed_w1"], p["embed_b1"],
                      p["embed_w2"], p["embed_b2"])
-    idx, _ = counted_knn(positions, positions, min(cfg.attention_neighbors, n),
-                         counter)
-    a, ac = attention_fwd(positions, h, idx, p, "att0", need_cache)
+    a, ac = attention_fwd(positions, h, stages[0].neighbors, p, "att0", need_cache)
     cur = h + a
     cur_pos = positions
-    stages = []
+    pooled = []
     for t in range(1, cfg.encoder_stages):
+        st = stages[t]
         voxel = base_voxel * cfg.downsample_factor ** t
-        ppos, pf, pc = grid_pool_fwd(cur_pos, cur, voxel, need_cache=need_cache)
-        idx, _ = counted_knn(ppos, ppos,
-                             min(cfg.attention_neighbors, ppos.shape[0]), counter)
-        a, sac = attention_fwd(ppos, pf, idx, p, f"att{t}", need_cache)
+        ppos, pf, pc = grid_pool_fwd(cur_pos, cur, voxel, need_cache=need_cache,
+                                     groups=st.pool)
+        a, sac = attention_fwd(ppos, pf, st.neighbors, p, f"att{t}", need_cache)
         cur = pf + a
         cur_pos = ppos
-        stages.append((pc, sac))
+        pooled.append((pc, sac))
     fm = FeatureMatrix(cur_pos, cur, scale_id)
-    cache = (ec, ac, stages) if need_cache else None
+    cache = (ec, ac, pooled) if need_cache else None
     return fm, cache
 
 
@@ -250,19 +307,22 @@ def encode_bwd(g, cache, model):
 # decode
 
 def decode(model, fused: FeatureMatrix, positions, cfg, counter=None,
-           need_cache=True):
+           need_cache=True, plan=None):
     """Coarse features -> Prediction for every partition point.
 
     positions: (N, 3) of the full partition; every row receives logits.
+    plan: the ScalePlan whose last stage produced fused.positions; the
+    interpolation is built here when omitted.
     """
     if fused.n < 1:
         raise ValueError("decode requires non-empty fused features")
     if positions.shape[0] < 1:
         raise ValueError("decode requires at least one query point")
     p = model.params
-    m = min(cfg.interp_neighbors, fused.n)
-    idx, d2 = counted_knn(fused.positions, positions, m, counter)
-    w = interp_weights(np.sqrt(d2))
+    if plan is None:
+        idx, w = plan_interp(fused.positions, positions, cfg, counter)
+    else:
+        idx, w = plan.interp_ids, plan.interp_weights
     cur, ic = interp_apply_fwd(fused.features, idx, w, need_cache)
     lcaches = []
     for t in range(cfg.encoder_stages):

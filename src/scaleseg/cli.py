@@ -127,10 +127,29 @@ def _model_path(models_dir, scale_id):
     return os.path.join(models_dir, name)
 
 
+def _load_checked(models_dir, scale_id):
+    """load_checkpoint, and require the tensor names and shapes of a fresh
+    model of the stored configuration; only scales >= 2 fuse (scale id 0
+    is the whole-cloud baseline)."""
+    path = _model_path(models_dir, scale_id)
+    params, bcfg, frozen, extras = load_checkpoint(path)
+    want = {k: v.shape for k, v in
+            init_params(bcfg, with_fusion=scale_id > 1).items()}
+    got = {k: v.shape for k, v in params.items()}
+    if got != want:
+        missing = sorted(want.keys() - got.keys())
+        unexpected = sorted(got.keys() - want.keys())
+        reshaped = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+        raise CheckpointFormatError(
+            f"{path}: tensors do not match the stored configuration "
+            f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})")
+    return params, bcfg, frozen, extras
+
+
 def _load_models(models_dir, num_scales):
     models, cfgs = [], []
     for i in range(1, num_scales + 1):
-        params, bcfg, frozen, extras = load_checkpoint(_model_path(models_dir, i))
+        params, bcfg, frozen, extras = _load_checked(models_dir, i)
         models.append(ScaleModel(params, frozen))
         cfgs.append((bcfg, extras.get("k_fuse")))
     if len({c for c in cfgs}) != 1:
@@ -236,7 +255,7 @@ def cmd_train(args):
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
         models = []
         for j in range(1, scale_id):
-            params, bcfg, frozen, _ = load_checkpoint(_model_path(args.models, j))
+            params, bcfg, frozen, _ = _load_checked(args.models, j)
             if bcfg != pcfg.backbone:
                 raise CheckpointFormatError(
                     f"scale {j} checkpoint configuration does not match")
@@ -304,7 +323,7 @@ def cmd_bench(args):
     sizes = _voxel_sizes(cfg)
     if args.models:
         models, pcfg = _load_models(args.models, len(sizes))
-        baseline_params, bcfg, _, _ = load_checkpoint(_model_path(args.models, 0))
+        baseline_params, bcfg, _, _ = _load_checked(args.models, 0)
         baseline = ScaleModel(baseline_params, frozen=True)
         if bcfg != pcfg.backbone:
             raise CheckpointFormatError("baseline checkpoint configuration differs")

@@ -16,8 +16,7 @@ import numpy as np
 
 from .backbone import FeatureMatrix
 from .knn import NeighborIndex
-
-_BLOCK = 8192
+from .layers import _BLOCK, _join_blocks
 
 
 class FeatureStore:
@@ -72,11 +71,28 @@ class FeatureStore:
             [np.full(e[1].shape[0], e[0], dtype=np.int64) for e in self._entries])
 
 
+def _store_neighbors(store_positions, positions, k_fuse, counter):
+    index = NeighborIndex(store_positions, counter=counter)
+    ids, _ = index.knn_batch(positions, min(int(k_fuse), store_positions.shape[0]))
+    return ids
+
+
+def fusion_neighbors(store: FeatureStore, positions, k_fuse, counter=None):
+    """Ids of each position's k_fuse nearest stored rows (clamped to the store).
+
+    Parameter-free, so it holds for as long as the store and the
+    positions stay fixed, e.g. for every epoch of one training call.
+    """
+    return _store_neighbors(store.merged()[0], positions, k_fuse, counter)
+
+
 def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
-         counter=None, need_cache=True):
+         counter=None, need_cache=True, neighbors=None):
     """Enrich current features with the store; positions pass through.
 
     Returns (FeatureMatrix, cache). k_fuse is clamped to the store size.
+    neighbors: fusion_neighbors(store, current.positions, k_fuse), when
+    the caller already holds it; otherwise it is computed here.
     """
     if int(k_fuse) < 1:
         raise ValueError("k_fuse must be >= 1")
@@ -86,29 +102,26 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     if feats.shape[1] != store.feature_dim:
         raise ValueError("current feature width does not match the store")
     spos, sfeat = store.merged()
-    index = NeighborIndex(spos, counter=counter)
-    idx, _ = index.knn_batch(current.positions, min(int(k_fuse), spos.shape[0]))
+    idx = (neighbors if neighbors is not None
+           else _store_neighbors(spos, current.positions, k_fuse, counter))
 
     cw, cb = params["fuse_cw"], params["fuse_cb"]
     fw, fb = params["fuse_fw"], params["fuse_fb"]
     n, f = feats.shape
-    if need_cache:
-        gathered = sfeat[idx]  # (N, k, F)
+    out = np.empty((n, fw.shape[1]), dtype=np.float64)
+    blocks = []
+    for s in range(0, n, _BLOCK):
+        sl = slice(s, min(s + _BLOCK, n))
+        gathered = sfeat[idx[sl]]  # (B, k, F)
         h = gathered @ cw + cb
         r = np.maximum(h, 0.0)
-        arg = r.argmax(axis=1)  # (N, F), first max wins on ties
+        arg = r.argmax(axis=1)  # (B, F), first max wins on ties
         pooled = np.take_along_axis(r, arg[:, None, :], axis=1)[:, 0, :]
-        cat = np.concatenate([feats, pooled], axis=1)
-        out = cat @ fw + fb
-        cache = (gathered, h > 0.0, arg, cat, f)
-    else:
-        out = np.empty((n, fw.shape[1]), dtype=np.float64)
-        for s in range(0, n, _BLOCK):
-            sl = slice(s, min(s + _BLOCK, n))
-            r = np.maximum(sfeat[idx[sl]] @ cw + cb, 0.0)
-            cat = np.concatenate([feats[sl], r.max(axis=1)], axis=1)
-            out[sl] = cat @ fw + fb
-        cache = None
+        cat = np.concatenate([feats[sl], pooled], axis=1)
+        out[sl] = cat @ fw + fb
+        if need_cache:
+            blocks.append((gathered, h > 0.0, arg, cat))
+    cache = _join_blocks(blocks) + (f,) if need_cache else None
     return FeatureMatrix(current.positions, out, current.scale_id), cache
 
 

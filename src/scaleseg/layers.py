@@ -13,9 +13,9 @@ import numpy as np
 
 from .cloud import _voxel_keys_raw, pack_voxel_keys
 
-# Query block size for cache-free attention/fusion forwards; keeps the
-# transient (B, k, F) tensors small on big clouds without changing any
-# per-row arithmetic.
+# Query block size for attention/fusion forwards; without a cache it
+# keeps the transient (B, k, F) tensors small on big clouds. Blocking
+# changes no per-row arithmetic.
 _BLOCK = 8192
 
 
@@ -70,10 +70,32 @@ def neighbor_softmax_bwd(g, w):
 
 
 def scatter_rows(grad_neighbors, idx, n_rows):
-    """Accumulate (N, k, F) neighbor gradients back onto n_rows source rows."""
-    out = np.zeros((n_rows, grad_neighbors.shape[-1]), dtype=np.float64)
-    np.add.at(out, idx.ravel(), grad_neighbors.reshape(-1, grad_neighbors.shape[-1]))
+    """Accumulate (N, k, F) neighbor gradients back onto n_rows source rows.
+
+    Each column is one bincount, which adds the rows in index order just
+    like np.add.at, so the sums are bit-identical to it, only faster.
+    """
+    flat = idx.ravel()
+    g = grad_neighbors.reshape(-1, grad_neighbors.shape[-1])
+    out = np.empty((n_rows, g.shape[1]), dtype=np.float64)
+    for c in range(g.shape[1]):
+        out[:, c] = np.bincount(flat, weights=g[:, c], minlength=n_rows)
     return out
+
+
+def _join_blocks(blocks):
+    """Row-concatenate the caches of consecutive query blocks.
+
+    Caches are nested tuples; arrays that every block shares (parameter
+    matrices) pass through, per-row arrays are stacked. One block is
+    returned as it is, without a copy.
+    """
+    first = blocks[0]
+    if isinstance(first, tuple):
+        return tuple(_join_blocks(list(parts)) for parts in zip(*blocks))
+    if all(b is first for b in blocks):
+        return first
+    return np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +129,16 @@ def attention_fwd(positions, feats, idx, p, prefix, need_cache=True):
     q = feats @ p[prefix + "_wq"]  # (N, F)
     kmat = feats @ p[prefix + "_wk"]
     v = feats @ p[prefix + "_wv"]
-    if need_cache:
-        out, (w, vn, pcache, acache) = _attn_rows(
-            positions, idx, q, kmat, v, slice(0, n), p, prefix)
-        return out, (feats, idx, w, vn, pcache, acache)
     out = np.empty((n, q.shape[1]), dtype=np.float64)
+    blocks = []
     for s in range(0, n, _BLOCK):
         sl = slice(s, min(s + _BLOCK, n))
-        out[sl] = _attn_rows(positions, idx, q, kmat, v, sl, p, prefix)[0]
-    return out, None
+        out[sl], block_cache = _attn_rows(positions, idx, q, kmat, v, sl, p, prefix)
+        if need_cache:
+            blocks.append(block_cache)
+    if not need_cache:
+        return out, None
+    return out, (feats, idx) + _join_blocks(blocks)
 
 
 def attention_bwd(g, cache, p, prefix):
@@ -147,11 +170,11 @@ def attention_bwd(g, cache, p, prefix):
 # ---------------------------------------------------------------------------
 # voxel-mean pooling
 
-def grid_pool_fwd(positions, feats, voxel_size, origin=(0.0, 0.0, 0.0), need_cache=True):
-    """Mean positions/features per occupied voxel.
+def grid_pool_groups(positions, voxel_size, origin=(0.0, 0.0, 0.0)):
+    """Parameter-free half of grid pooling: (pooled_pos, order, starts, counts).
 
     Output rows are ordered by packed voxel key, and group members are
-    summed in coordinate-sorted order, so the result is independent of
+    taken in coordinate-sorted order, so the result is independent of
     input point order.
     """
     packed = pack_voxel_keys(_voxel_keys_raw(positions, voxel_size, origin))
@@ -160,6 +183,19 @@ def grid_pool_fwd(positions, feats, voxel_size, origin=(0.0, 0.0, 0.0), need_cac
     starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
     counts = np.diff(np.r_[starts, sk.size]).astype(np.float64)
     pooled_pos = np.add.reduceat(positions[order], starts, axis=0) / counts[:, None]
+    return pooled_pos, order, starts, counts
+
+
+def grid_pool_fwd(positions, feats, voxel_size, origin=(0.0, 0.0, 0.0),
+                  need_cache=True, groups=None):
+    """Mean positions/features per occupied voxel.
+
+    groups: grid_pool_groups(positions, voxel_size, origin), when the
+    caller already holds it; otherwise it is computed here.
+    """
+    if groups is None:
+        groups = grid_pool_groups(positions, voxel_size, origin)
+    pooled_pos, order, starts, counts = groups
     pooled_feats = np.add.reduceat(feats[order], starts, axis=0) / counts[:, None]
     cache = (order, starts, counts, feats.shape[0]) if need_cache else None
     return pooled_pos, pooled_feats, cache

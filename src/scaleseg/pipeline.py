@@ -201,43 +201,48 @@ def _warmup(models, cfg: PipelineConfig):
 
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
                cfg: PipelineConfig, fusion_enabled, out_preds, out_timings):
-    """Execute one scale; `ready[i]` is set once the store holds scale i."""
-    backbone_cfg = cfg.backbone
-    counter = EvalCounter()
-    n = part_pos.shape[0]
-    if n == 0:
-        # keep the store-ready chain intact: scale i+1 may only fuse
-        # once every scale <= i has had its chance to append
+    """Execute one scale; `ready[i]` is set once the store holds scale i.
+
+    A scale that fails or has no points still sets `ready[i]`, after
+    `ready[i - 1]`, so the store-ready chain stays in scale order and no
+    later scale waits forever.
+    """
+    try:
+        backbone_cfg = cfg.backbone
+        counter = EvalCounter()
+        n = part_pos.shape[0]
+        if n == 0:
+            out_preds[i] = _empty_prediction(backbone_cfg.num_classes)
+            out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0)
+            return
+        t0 = time.perf_counter()
+        fm, _ = encode(model, part_pos, part_feats, base_voxel, backbone_cfg,
+                       scale_id=i + 1, counter=counter, need_cache=False)
+        t1 = time.perf_counter()
+        if ready is not None and i > 0:
+            ready[i - 1].wait()
+        fuse_ms = 0.0
+        fused = fm
+        if i > 0 and fusion_enabled:
+            tf = time.perf_counter()
+            fused, _ = fuse(fm, store, model.params, cfg.k_fuse,
+                            counter=counter, need_cache=False)
+            fuse_ms = (time.perf_counter() - tf) * 1e3
+        store.add_scale(fused)
         if ready is not None:
+            ready[i].set()
+        t2 = time.perf_counter()
+        pred, _ = decode(model, fused, part_pos, backbone_cfg,
+                         counter=counter, need_cache=False)
+        t3 = time.perf_counter()
+        out_preds[i] = pred
+        out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
+                                     (t3 - t2) * 1e3, counter.count)
+    finally:
+        if ready is not None and not ready[i].is_set():
             if i > 0:
                 ready[i - 1].wait()
             ready[i].set()
-        out_preds[i] = _empty_prediction(backbone_cfg.num_classes)
-        out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0)
-        return
-    t0 = time.perf_counter()
-    fm, _ = encode(model, part_pos, part_feats, base_voxel, backbone_cfg,
-                   scale_id=i + 1, counter=counter, need_cache=False)
-    t1 = time.perf_counter()
-    if ready is not None and i > 0:
-        ready[i - 1].wait()
-    fuse_ms = 0.0
-    fused = fm
-    if i > 0 and fusion_enabled:
-        tf = time.perf_counter()
-        fused, _ = fuse(fm, store, model.params, cfg.k_fuse,
-                        counter=counter, need_cache=False)
-        fuse_ms = (time.perf_counter() - tf) * 1e3
-    store.add_scale(fused)
-    if ready is not None:
-        ready[i].set()
-    t2 = time.perf_counter()
-    pred, _ = decode(model, fused, part_pos, backbone_cfg,
-                     counter=counter, need_cache=False)
-    t3 = time.perf_counter()
-    out_preds[i] = pred
-    out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
-                                 (t3 - t2) * 1e3, counter.count)
 
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
@@ -267,19 +272,27 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     timings = [None] * s
     if threaded:
         ready = [threading.Event() for _ in range(s)]
-        workers = [
-            threading.Thread(
-                target=_run_scale,
-                args=(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
-                      parts.voxel_sizes[i], store, ready, cfg, fusion_enabled,
-                      preds, timings),
-                name=f"scale-{i + 1}")
-            for i in range(s)
-        ]
+        errors = [None] * s
+
+        def work(i):
+            try:
+                _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
+                           parts.voxel_sizes[i], store, ready, cfg,
+                           fusion_enabled, preds, timings)
+            except Exception as exc:  # re-raised below, in the caller
+                errors[i] = exc
+
+        workers = [threading.Thread(target=work, args=(i,), name=f"scale-{i + 1}")
+                   for i in range(s)]
         for w in workers:
             w.start()
         for w in workers:
             w.join()
+        # the lowest failed scale is the root cause: later scales may
+        # fail only for lack of its store entry
+        for exc in errors:
+            if exc is not None:
+                raise exc
     else:
         for i in range(s):
             _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import decode, decode_bwd, encode, encode_bwd
-from .fusion import FeatureStore, fuse, fuse_bwd
+from .backbone import decode, decode_bwd, encode, encode_bwd, plan_scale
+from .fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from .layers import softmax_cross_entropy
 from .metrics import ConfusionMatrix, compute_metrics
 from .pipeline import PipelineConfig, run_pipeline
@@ -58,14 +58,15 @@ def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
 
 def _scene_forward_backward(model, sample, cfg: PipelineConfig):
     """Loss and parameter gradients for one scene at the trained scale."""
-    positions, feats, labels, base_voxel, store, scale_id = sample
+    positions, feats, labels, base_voxel, store, scale_id, plan, neighbors = sample
     fm, ecache = encode(model, positions, feats, base_voxel, cfg.backbone,
-                        scale_id=scale_id)
+                        scale_id=scale_id, plan=plan)
     fcache = None
     fused = fm
     if store.num_scales > 0:
-        fused, fcache = fuse(fm, store, model.params, cfg.k_fuse)
-    pred, dcache = decode(model, fused, positions, cfg.backbone)
+        fused, fcache = fuse(fm, store, model.params, cfg.k_fuse,
+                             neighbors=neighbors)
+    pred, dcache = decode(model, fused, positions, cfg.backbone, plan=plan)
     loss, dlogits = softmax_cross_entropy(pred.logits, labels)
 
     dfused, grads = decode_bwd(dlogits, dcache, model, cfg.backbone)
@@ -101,17 +102,22 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
         if cloud.labels is None:
             raise ValueError("training scenes must carry labels")
 
-    # lower scales are frozen, so their store entries are constants;
-    # compute them once per scene instead of once per epoch
+    # lower scales are frozen, so their store entries are constants, and
+    # positions never change, so neither does any neighbor search:
+    # compute both once per scene instead of once per epoch
     samples = []
     for cloud, parts in scenes:
         idx = parts.partitions[scale_id - 1]
         if idx.size == 0:
             continue
         store = _build_store(models, cloud, parts, scale_id - 1, cfg)
-        samples.append((cloud.positions[idx], cloud.xyzrgb()[idx],
-                        cloud.labels[idx], parts.voxel_sizes[scale_id - 1],
-                        store, scale_id))
+        positions = cloud.positions[idx]
+        base_voxel = parts.voxel_sizes[scale_id - 1]
+        plan = plan_scale(positions, base_voxel, cfg.backbone)
+        neighbors = (fusion_neighbors(store, plan.stages[-1].positions, cfg.k_fuse)
+                     if store.num_scales > 0 else None)
+        samples.append((positions, cloud.xyzrgb()[idx], cloud.labels[idx],
+                        base_voxel, store, scale_id, plan, neighbors))
     if not samples:
         raise ValueError("every scene has an empty partition at this scale")
 

@@ -11,7 +11,9 @@ from scaleseg.backbone import (
     encode,
     encode_bwd,
     init_params,
+    plan_scale,
 )
+from scaleseg.knn import EvalCounter
 from scaleseg.layers import softmax_cross_entropy
 
 
@@ -171,3 +173,35 @@ def test_encode_decode_loss_gradcheck_spot():
         err = np.linalg.norm(grads[name] - num) / max(
             np.linalg.norm(num) + np.linalg.norm(grads[name]), 1e-10)
         assert err < 1e-6, f"{name}: {err}"
+
+
+def test_planned_forward_matches_unplanned():
+    rng = np.random.default_rng(8)
+    cfg = small_cfg(encoder_stages=3)
+    positions, feats = random_inputs(rng, 40)
+    model = ScaleModel(init_params(cfg, seed=9))
+    fm, ec = encode(model, positions, feats, 0.3, cfg)
+    pred, dc = decode(model, fm, positions, cfg)
+
+    plan_counter = EvalCounter()
+    plan = plan_scale(positions, 0.3, cfg, counter=plan_counter)
+    assert plan_counter.count > 0
+    dense_counter = EvalCounter()
+    fm_p, ec_p = encode(model, positions, feats, 0.3, cfg,
+                        counter=dense_counter, plan=plan)
+    pred_p, dc_p = decode(model, fm_p, positions, cfg,
+                          counter=dense_counter, plan=plan)
+    assert dense_counter.count == 0  # no neighbor search left to do
+    assert np.array_equal(fm.positions, fm_p.positions)
+    assert np.array_equal(fm.features, fm_p.features)
+    assert np.array_equal(pred.logits, pred_p.logits)
+    g = rng.normal(size=pred.logits.shape)
+    d, grads = decode_bwd(g, dc, model, cfg)
+    d_p, grads_p = decode_bwd(g, dc_p, model, cfg)
+    grads.update(encode_bwd(d, ec, model))
+    grads_p.update(encode_bwd(d_p, ec_p, model))
+    assert sorted(grads) == sorted(grads_p)
+    for name in grads:
+        assert np.array_equal(grads[name], grads_p[name])
+    with pytest.raises(ValueError):
+        plan_scale(np.zeros((0, 3)), 0.3, cfg)

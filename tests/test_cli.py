@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scaleseg import cli
+from scaleseg.checkpoint import load_checkpoint, save_checkpoint
 from scaleseg.io import read_cloud
 
 FAST = ["--voxel-sizes", "0.5,0.35", "--feature-dim", "8"]
@@ -139,6 +140,22 @@ def test_infer_corrupt_checkpoint(tmp_path):
     (bad / "scale_1.ckpt").write_bytes(b"garbage")
     assert run(["infer", "--in", str(scene), "--models", str(bad),
                 "--voxel-sizes", "0.5"]) == 2
+
+
+def test_infer_checkpoint_missing_tensor(tmp_path, trained, capsys):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    for name in ("scale_1.ckpt", "scale_2.ckpt"):
+        (bad / name).write_bytes((trained / name).read_bytes())
+    params, bcfg, frozen, extras = load_checkpoint(bad / "scale_2.ckpt")
+    del params["fuse_cw"]
+    save_checkpoint(bad / "scale_2.ckpt", params, bcfg, frozen=frozen,
+                    extras=extras)
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5,0.35"]) == 2
+    assert "fuse_cw" in capsys.readouterr().err
 
 
 def test_eval_reports_metrics(trained, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from scaleseg import fusion as fusion_mod
 from scaleseg.backbone import FeatureMatrix
-from scaleseg.fusion import FeatureStore, fuse, fuse_bwd
+from scaleseg.fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from scaleseg.knn import EvalCounter
 
 
@@ -137,15 +137,42 @@ def test_fuse_chunked_forward_identical():
     current = FeatureMatrix(rng.uniform(0, 4, size=(40, 3)),
                             rng.normal(size=(40, f)), 3)
     params = fuse_params(rng, f)
-    cached, _ = fuse(current, store, params, k_fuse=4, need_cache=True)
+    cached, full_cache = fuse(current, store, params, k_fuse=4, need_cache=True)
     old = fusion_mod._BLOCK
     fusion_mod._BLOCK = 7
     try:
         blocked, cache = fuse(current, store, params, k_fuse=4, need_cache=False)
+        blocked_cached, block_cache = fuse(current, store, params, k_fuse=4,
+                                           need_cache=True)
     finally:
         fusion_mod._BLOCK = old
     assert cache is None
     assert np.array_equal(cached.features, blocked.features)
+    assert np.array_equal(cached.features, blocked_cached.features)
+    g = rng.normal(size=cached.features.shape)
+    d_full, grads_full = fuse_bwd(g, full_cache, params)
+    d_block, grads_block = fuse_bwd(g, block_cache, params)
+    assert np.array_equal(d_full, d_block)
+    for name in grads_full:
+        assert np.array_equal(grads_full[name], grads_block[name])
+
+
+def test_fusion_neighbors_reused_by_fuse():
+    rng = np.random.default_rng(9)
+    f = 4
+    store = make_store(rng, f, [15, 9])
+    current = FeatureMatrix(rng.uniform(0, 4, size=(12, 3)),
+                            rng.normal(size=(12, f)), 3)
+    params = fuse_params(rng, f)
+    counter = EvalCounter()
+    ids = fusion_neighbors(store, current.positions, 30, counter=counter)
+    assert ids.shape == (12, 24)  # k_fuse clamped to the store size
+    assert counter.count == 12 * 24
+    direct, _ = fuse(current, store, params, k_fuse=30)
+    reused, _ = fuse(current, store, params, k_fuse=30, counter=counter,
+                     neighbors=ids)
+    assert counter.count == 12 * 24  # no second neighbor search
+    assert np.array_equal(direct.features, reused.features)
 
 
 def test_fuse_bwd_gradcheck_and_no_store_grad():

@@ -103,6 +103,16 @@ def test_scatter_rows_is_gather_adjoint():
     assert abs(lhs - rhs) < 1e-12
 
 
+def test_scatter_rows_matches_add_at_bitwise():
+    rng = np.random.default_rng(13)
+    n, k, f = 40, 8, 5
+    idx = rng.integers(0, n, size=(n, k))
+    g = rng.normal(size=(n, k, f)) * 10.0 ** rng.integers(-8, 8, size=(n, k, 1))
+    ref = np.zeros((n, f))
+    np.add.at(ref, idx.ravel(), g.reshape(-1, f))
+    assert scatter_rows(g, idx, n).tobytes() == ref.tobytes()
+
+
 def test_attention_gradcheck():
     rng = np.random.default_rng(4)
     n, k, f = 6, 3, 4
@@ -146,16 +156,26 @@ def test_attention_blocked_forward_identical():
          rng.normal(size=(f, f))
          for s in ("wq", "wk", "wv", "pw1", "pb1", "pw2", "pb2",
                    "aw1", "ab1", "aw2", "ab2")}
-    cached, _ = attention_fwd(positions, feats, idx, p, "b", need_cache=True)
+    cached, full_cache = attention_fwd(positions, feats, idx, p, "b",
+                                       need_cache=True)
     old = layers._BLOCK
     layers._BLOCK = 7  # force many partial blocks
     try:
         blocked, cache = attention_fwd(positions, feats, idx, p, "b",
                                        need_cache=False)
+        blocked_cached, block_cache = attention_fwd(positions, feats, idx, p, "b",
+                                                    need_cache=True)
     finally:
         layers._BLOCK = old
     assert cache is None
     assert np.array_equal(cached, blocked)
+    assert np.array_equal(cached, blocked_cached)
+    g = rng.normal(size=cached.shape)
+    d_full, grads_full = attention_bwd(g, full_cache, p, "b")
+    d_block, grads_block = attention_bwd(g, block_cache, p, "b")
+    assert np.array_equal(d_full, d_block)
+    for name in grads_full:
+        assert np.array_equal(grads_full[name], grads_block[name])
 
 
 def test_grid_pool_means_and_order():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,29 @@ def test_run_pipeline_threaded_matches_sequential():
     for a, b in zip(seq, thr):
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.labels, b.labels)
+
+
+def test_run_pipeline_failing_scale_raises_not_hangs():
+    cloud, parts, pcfg, models = make_setup(seed=4)
+    broken = ScaleModel(dict(models[0].params))
+    del broken.params["att0_wq"]
+    models = [broken] + models[1:]
+    with pytest.raises(KeyError):
+        run_pipeline(models, cloud, parts, pcfg, warmup=False)
+    outcome = []
+
+    def call():
+        try:
+            run_pipeline(models, cloud, parts, pcfg, threaded=True, warmup=False)
+            outcome.append(None)
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            outcome.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive(), "threaded run hung on a failed scale"
+    assert len(outcome) == 1 and isinstance(outcome[0], KeyError)
 
 
 def test_run_pipeline_fusion_bypass_differs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scaleseg import backbone, knn
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
 from scaleseg.cloud import PartitionConfig, PointCloud, build_partitions
 from scaleseg.pipeline import PipelineConfig
@@ -83,6 +84,51 @@ def test_frozen_lower_scale_untouched_by_scale2_training():
     assert losses[-1] < losses[0] * 1.2  # it trains at all
     for k in snapshot:
         assert np.array_equal(m1.params[k], snapshot[k])
+
+
+def _scale2_losses(epochs, n_points=900):
+    scenes = make_scenes(count=2, n_points=n_points)
+    pcfg = make_cfg()
+    m1 = ScaleModel(init_params(pcfg.backbone, seed=1))
+    m1.freeze()
+    m2 = ScaleModel(init_params(pcfg.backbone, seed=2, with_fusion=True))
+    tcfg = TrainConfig(epochs=epochs, batch_size=2, learning_rate=0.05,
+                       momentum=0.9, rng_seed=3)
+    return train_scale([m1, m2], 2, scenes, pcfg, tcfg)
+
+
+def test_train_scale_epoch_losses_golden():
+    # values produced by the per-epoch-geometry implementation this one
+    # replaced; any change in per-row arithmetic shows up in the bits
+    losses = _scale2_losses(epochs=3)
+    assert [x.hex() for x in losses] == [
+        "0x1.d85e57bbaa32ep+0", "0x1.1f126bec7f772p+0", "0x1.0b3ef4db529a8p+0"]
+
+
+def test_train_scale_searches_neighbors_once_per_call(monkeypatch):
+    calls = []
+    counted_knn = backbone.counted_knn
+    knn_batch = knn.NeighborIndex.knn_batch
+
+    def counting_knn(*args, **kwargs):
+        calls.append("knn")
+        return counted_knn(*args, **kwargs)
+
+    def counting_batch(self, *args, **kwargs):
+        calls.append("fusion")
+        return knn_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(backbone, "counted_knn", counting_knn)
+    monkeypatch.setattr(knn.NeighborIndex, "knn_batch", counting_batch)
+    _scale2_losses(epochs=1, n_points=500)
+    one_epoch = list(calls)
+    calls.clear()
+    _scale2_losses(epochs=4, n_points=500)
+    assert calls == one_epoch
+    # per scene: 2 stages of frozen scale 1, then the trainee's 2 stages,
+    # its decode interpolation and its fusion search
+    assert one_epoch.count("knn") == 2 * 5
+    assert one_epoch.count("fusion") == 2
 
 
 def test_train_scale_preconditions():
