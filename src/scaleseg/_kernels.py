@@ -1,45 +1,20 @@
-"""Compute kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Brute-force exact KNN kernel in pure numpy.
 
-The backend is picked once at import time from the SCALESEG_BACKEND
-environment variable:
-
-    auto   use numba when importable, numpy otherwise (default)
-    numba  require numba, fail if missing
-    numpy  force the pure-numpy fallback
-
-Both backends produce bit-identical results: squared distances are
-accumulated in the same order and neighbor ties are broken by lower
-point id.
+Squared distances are accumulated as (dx*dx + dy*dy) + dz*dz and
+neighbor ties are broken by lower point id, so results are
+deterministic and equal those of a plain per-query brute-force scan.
 """
-
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("SCALESEG_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"SCALESEG_BACKEND must be 'auto', 'numba' or 'numpy', got {_CHOICE!r}"
-    )
-
-_HAS_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit, prange
-
-        _HAS_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise RuntimeError("SCALESEG_BACKEND=numba but numba is not importable")
-
 
 def backend() -> str:
-    """Name of the kernel backend in use, 'numba' or 'numpy'."""
-    return "numba" if _HAS_NUMBA else "numpy"
+    """Name of the KNN kernel, as run records report it."""
+    return "numpy"
 
 
-# Elements per (chunk, M) scratch matrix; keeps peak memory of the numpy
-# path near a couple hundred MB regardless of the reference set size.
+# Elements per (chunk, M) scratch matrix; keeps a call's peak memory near
+# a couple hundred MB regardless of the reference set size.
 _SCRATCH_ELEMS = 8_000_000
 
 
@@ -47,13 +22,16 @@ def _chunk_rows(m):
     return int(min(4096, max(1, _SCRATCH_ELEMS // max(m, 1))))
 
 
-def _knn_topk_numpy(points, queries, k):
-    """Brute-force exact KNN, vectorized over query chunks.
+def knn_topk(points, queries, k):
+    """Exact k nearest neighbors of each query among `points`.
 
-    Returns (ids, d2) of shape (Q, k), rows sorted ascending by
-    (squared distance, point id). k must already be clamped to len(points).
+    points, queries: contiguous float64 arrays of shape (M, 3) / (Q, 3).
+    Returns (ids, d2), each (Q, min(k, M)), rows ascending by
+    (squared distance, point id). Brute force, vectorized over query
+    chunks: every call evaluates Q*M point distances.
     """
     m = points.shape[0]
+    k = min(int(k), m)
     nq = queries.shape[0]
     out_idx = np.empty((nq, k), dtype=np.int64)
     out_d2 = np.empty((nq, k), dtype=np.float64)
@@ -63,8 +41,7 @@ def _knn_topk_numpy(points, queries, k):
     step = _chunk_rows(m)
     for lo in range(0, nq, step):
         hi = min(lo + step, nq)
-        # Accumulate in place, same term order as the numba kernel:
-        # (dx*dx + dy*dy) + dz*dz.
+        # Accumulate in place in the term order (dx*dx + dy*dy) + dz*dz.
         d2 = np.square(queries[lo:hi, 0:1] - px)
         d2 += np.square(queries[lo:hi, 1:2] - py)
         d2 += np.square(queries[lo:hi, 2:3] - pz)
@@ -95,63 +72,3 @@ def _knn_topk_numpy(points, queries, k):
         out_d2[lo:hi] = pd2
     return out_idx, out_d2
 
-
-if _HAS_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _knn_topk_numba(points, queries, k):  # pragma: no cover - jitted
-        m = points.shape[0]
-        nq = queries.shape[0]
-        out_idx = np.empty((nq, k), dtype=np.int64)
-        out_d2 = np.empty((nq, k), dtype=np.float64)
-        for q in prange(nq):
-            qx = queries[q, 0]
-            qy = queries[q, 1]
-            qz = queries[q, 2]
-            best_d = np.empty(k, dtype=np.float64)
-            best_i = np.empty(k, dtype=np.int64)
-            count = 0
-            for j in range(m):
-                dx = qx - points[j, 0]
-                dy = qy - points[j, 1]
-                dz = qz - points[j, 2]
-                d2 = dx * dx + dy * dy + dz * dz
-                if count < k:
-                    pos = count
-                    while pos > 0 and best_d[pos - 1] > d2:
-                        best_d[pos] = best_d[pos - 1]
-                        best_i[pos] = best_i[pos - 1]
-                        pos -= 1
-                    best_d[pos] = d2
-                    best_i[pos] = j
-                    count += 1
-                elif d2 < best_d[k - 1]:
-                    # Strict comparison: an equal distance never evicts the
-                    # stored (lower-id) neighbor.
-                    pos = k - 1
-                    while pos > 0 and best_d[pos - 1] > d2:
-                        best_d[pos] = best_d[pos - 1]
-                        best_i[pos] = best_i[pos - 1]
-                        pos -= 1
-                    best_d[pos] = d2
-                    best_i[pos] = j
-            for t in range(k):
-                out_idx[q, t] = best_i[t]
-                out_d2[q, t] = best_d[t]
-        return out_idx, out_d2
-
-else:
-    _knn_topk_numba = None
-
-
-def knn_topk(points, queries, k):
-    """Exact k nearest neighbors of each query among `points`.
-
-    points, queries: contiguous float64 arrays of shape (M, 3) / (Q, 3).
-    Returns (ids, d2), each (Q, min(k, M)), ascending by (d2, id).
-    Every call evaluates Q*M point distances.
-    """
-    kk = min(int(k), points.shape[0])
-    if _HAS_NUMBA:
-        return _knn_topk_numba(points, queries, kk)
-    return _knn_topk_numpy(points, queries, kk)

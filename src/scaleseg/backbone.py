@@ -139,10 +139,8 @@ def _attention_param_shapes(f):
     }
 
 
-def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False,
-                k_fuse: int = 8):
+def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False):
     """Fresh parameter dict, name -> float64 array, fan-in scaled."""
-    del k_fuse  # fusion parameter shapes do not depend on it
     rng = np.random.default_rng(seed)
     f = cfg.feature_dim
 
@@ -176,10 +174,6 @@ def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False,
         p["fuse_fw"] = unit((2 * f, f))
         p["fuse_fb"] = np.zeros(f)
     return p
-
-
-def num_params(params):
-    return int(sum(v.size for v in params.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,7 @@ def cmd_bench(args):
                                                     rng_seed=seed))
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              threaded=args.threaded)
-    base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg,
-                        warmup=False)
+    base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg)
     lines = report.record_lines()
     lines += report.table_lines()
     lines.append(f"baseline n_points={base.n_points} wall_ms={base.wall_ms:.3f} "

@@ -1,9 +1,9 @@
 """Exact k-nearest-neighbor index over a fixed 3D point set.
 
 The index is brute force: every query evaluates the distance to every
-stored point, and the evaluation count is exposed so pipeline runs can
-report measured pairwise work. Neighbor ties are broken by lower point
-id, which makes every query deterministic.
+stored point, and those evaluations are added to an EvalCounter so
+pipeline runs can report measured pairwise work. Neighbor ties are
+broken by lower point id, which makes every query deterministic.
 """
 
 import threading
@@ -65,25 +65,10 @@ class NeighborIndex:
             raise ValueError("index points must be finite")
         pts.setflags(write=False)
         self._points = pts
-        self._evals = 0
-        self._lock = threading.Lock()
         self._counter = counter
 
     def __len__(self):
         return self._points.shape[0]
-
-    @property
-    def points(self):
-        return self._points
-
-    @property
-    def distance_evals(self) -> int:
-        """Total point-to-point distance evaluations performed so far."""
-        return self._evals
-
-    def reset_distance_evals(self):
-        with self._lock:
-            self._evals = 0
 
     def knn_batch(self, queries, k):
         """KNN for a batch of queries.
@@ -99,15 +84,6 @@ class NeighborIndex:
         if int(k) < 1:
             raise ValueError("k must be >= 1")
         ids, d2 = knn_topk(self._points, q, int(k))
-        cost = q.shape[0] * self._points.shape[0]
-        with self._lock:
-            self._evals += cost
         if self._counter is not None:
-            self._counter.add(cost)
+            self._counter.add(q.shape[0] * self._points.shape[0])
         return ids, np.sqrt(d2)
-
-    def knn(self, query, k):
-        """KNN for a single query point; returns (ids, dists) 1-D arrays."""
-        q = np.asarray(query, dtype=np.float64).reshape(1, 3)
-        ids, dists = self.knn_batch(q, k)
-        return ids[0], dists[0]

@@ -185,27 +185,16 @@ def _empty_prediction(num_classes):
     return Prediction(np.zeros((0, num_classes), dtype=np.float64))
 
 
-def _warmup(models, cfg: PipelineConfig):
-    """Tiny throwaway pass so JIT compilation stays out of the timings."""
-    rng = np.random.default_rng(0)
-    pos = rng.random((8, 3))
-    feats = rng.random((8, cfg.backbone.in_dim))
-    fm, _ = encode(models[0], pos, feats, 1.0, cfg.backbone, need_cache=False)
-    store = FeatureStore(cfg.backbone.feature_dim)
-    store.add_scale(fm)
-    fused = fm
-    if "fuse_cw" in models[-1].params:
-        fused, _ = fuse(fm, store, models[-1].params, cfg.k_fuse, need_cache=False)
-    decode(models[0], fused, pos, cfg.backbone, need_cache=False)
-
-
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
-               cfg: PipelineConfig, fusion_enabled, out_preds, out_timings):
+               failed, cfg: PipelineConfig, fusion_enabled, out_preds,
+               out_timings):
     """Execute one scale; `ready[i]` is set once the store holds scale i.
 
     A scale that fails or has no points still sets `ready[i]`, after
     `ready[i - 1]`, so the store-ready chain stays in scale order and no
-    later scale waits forever.
+    later scale waits forever. A failing scale sets `failed` first, so
+    every later scale sees it once its wait returns and stops before
+    fusing into a store that lacks the failed scale.
     """
     try:
         backbone_cfg = cfg.backbone
@@ -221,6 +210,8 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         t1 = time.perf_counter()
         if ready is not None and i > 0:
             ready[i - 1].wait()
+            if failed.is_set():
+                return
         fuse_ms = 0.0
         fused = fm
         if i > 0 and fusion_enabled:
@@ -238,6 +229,10 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         out_preds[i] = pred
         out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
                                      (t3 - t2) * 1e3, counter.count)
+    except Exception:
+        if failed is not None:
+            failed.set()
+        raise
     finally:
         if ready is not None and not ready[i].is_set():
             if i > 0:
@@ -247,7 +242,7 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
                  cfg: PipelineConfig, arrival_times=None, threaded=False,
-                 fusion_enabled=True, warmup=True):
+                 fusion_enabled=True):
     """Run all scales; returns (predictions, TimingReport).
 
     arrival_times (ms, non-decreasing, one per scale) only affect the
@@ -258,8 +253,6 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         raise ValueError(f"{len(models)} models for {s} scales")
     if arrival_times is not None and len(arrival_times) != s:
         raise ValueError("arrival time count does not match scale count")
-    if warmup:
-        _warmup(models, cfg)
 
     feats_all = cloud.xyzrgb()
     scale_inputs = []
@@ -272,12 +265,13 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     timings = [None] * s
     if threaded:
         ready = [threading.Event() for _ in range(s)]
+        failed = threading.Event()
         errors = [None] * s
 
         def work(i):
             try:
                 _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
-                           parts.voxel_sizes[i], store, ready, cfg,
+                           parts.voxel_sizes[i], store, ready, failed, cfg,
                            fusion_enabled, preds, timings)
             except Exception as exc:  # re-raised below, in the caller
                 errors[i] = exc
@@ -288,16 +282,15 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
             w.start()
         for w in workers:
             w.join()
-        # the lowest failed scale is the root cause: later scales may
-        # fail only for lack of its store entry
+        # the lowest failed scale's error is the root cause
         for exc in errors:
             if exc is not None:
                 raise exc
     else:
         for i in range(s):
             _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
-                       parts.voxel_sizes[i], store, None, cfg, fusion_enabled,
-                       preds, timings)
+                       parts.voxel_sizes[i], store, None, None, cfg,
+                       fusion_enabled, preds, timings)
 
     report = TimingReport(timings).finalize(arrival_times)
     return preds, report
@@ -313,7 +306,7 @@ class BaselineResult:
 
 
 def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
-                 cfg: PipelineConfig, warmup=True) -> BaselineResult:
+                 cfg: PipelineConfig) -> BaselineResult:
     """Whole-cloud single pass over the union of partitions 1..upto_scale.
 
     The union is processed with the finest merged voxel size as the
@@ -322,8 +315,6 @@ def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
     """
     if not 1 <= upto_scale <= parts.num_scales:
         raise ValueError("upto_scale out of range")
-    if warmup:
-        _warmup([model], cfg)
     union = np.sort(np.concatenate(parts.partitions[:upto_scale]))
     if union.size == 0:
         return BaselineResult(_empty_prediction(cfg.backbone.num_classes),

@@ -161,16 +161,13 @@ def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
     num_classes = cfg.backbone.num_classes
     matrices = [ConfusionMatrix(num_classes) for _ in range(num_scales)]
     cumulative = np.zeros(num_scales)
-    warm = True
     for cloud, parts in scenes:
         if cloud.labels is None:
             raise ValueError("evaluation scenes must carry labels")
         if parts.num_scales != num_scales:
             raise ValueError("scenes disagree on the number of scales")
         preds, report = run_pipeline(models, cloud, parts, cfg,
-                                     fusion_enabled=fusion_enabled,
-                                     warmup=warm)
-        warm = False
+                                     fusion_enabled=fusion_enabled)
         for i in range(num_scales):
             idx = parts.partitions[i]
             if idx.size:

@@ -71,8 +71,7 @@ def bench_run():
     baseline_model = ScaleModel(init_params(bcfg, seed=99))
     t0 = time.perf_counter()
     _, report = run_pipeline(models, cloud, parts, pcfg)
-    base = run_baseline(baseline_model, cloud, parts, parts.num_scales, pcfg,
-                        warmup=False)
+    base = run_baseline(baseline_model, cloud, parts, parts.num_scales, pcfg)
     elapsed = time.perf_counter() - t0
     return parts, report, base, elapsed
 
@@ -196,7 +195,7 @@ def test_criterion_5_gradient_correctness(capsys):
     frozen.freeze()
     fm1, _ = encode(frozen, pos1, feats1, 0.5, bcfg, scale_id=1,
                     need_cache=False)
-    model = ScaleModel(init_params(bcfg, seed=11, with_fusion=True, k_fuse=4))
+    model = ScaleModel(init_params(bcfg, seed=11, with_fusion=True))
     for v in model.params.values():  # move zero biases off relu kinks
         v += rng.normal(size=v.shape) * 0.05
 
@@ -261,8 +260,7 @@ def test_criterion_6_frozen_scale_training(capsys, tmp_path):
     models = []
     digests = {}
     for i in range(1, 5):
-        trainee = ScaleModel(init_params(bcfg, seed=i, with_fusion=(i > 1),
-                                         k_fuse=pcfg.k_fuse))
+        trainee = ScaleModel(init_params(bcfg, seed=i, with_fusion=(i > 1)))
         models.append(trainee)
         train_scale(models, i, scenes, pcfg, tcfg)
         if i >= 2:
@@ -384,8 +382,7 @@ def test_criterion_9_learning_sanity(capsys):
                     TrainConfig(epochs=30, batch_size=1, learning_rate=0.05,
                                 momentum=0.9, rng_seed=0))
         m1.freeze()
-        m2 = ScaleModel(init_params(bcfg, seed=s + 50, with_fusion=True,
-                                    k_fuse=pcfg.k_fuse))
+        m2 = ScaleModel(init_params(bcfg, seed=s + 50, with_fusion=True))
         train_scale([m1, m2], 2, [(cloud, parts)], pcfg,
                     TrainConfig(epochs=30, batch_size=1, learning_rate=0.01,
                                 momentum=0.9, rng_seed=0))
@@ -421,9 +418,8 @@ def test_criterion_10_scheduling_determinism(capsys):
                                              rng_seed=seed))
             parts = build_partitions(cloud, PartitionConfig(voxel_sizes=voxels,
                                                             rng_seed=seed))
-            seq, _ = run_pipeline(models, cloud, parts, pcfg, warmup=False)
-            thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True,
-                                  warmup=False)
+            seq, _ = run_pipeline(models, cloud, parts, pcfg)
+            thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
             for a, b in zip(seq, thr):
                 assert np.array_equal(a.logits, b.logits)
                 assert np.array_equal(a.labels, b.labels)

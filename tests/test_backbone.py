@@ -52,7 +52,7 @@ def test_init_params_deterministic_and_fusion_keys():
         assert np.array_equal(a[k], b[k])
     c = init_params(cfg, seed=4)
     assert any(not np.array_equal(a[k], c[k]) for k in a)
-    withf = init_params(cfg, seed=3, with_fusion=True, k_fuse=5)
+    withf = init_params(cfg, seed=3, with_fusion=True)
     extra = sorted(set(withf) - set(a))
     assert extra == ["fuse_cb", "fuse_cw", "fuse_fb", "fuse_fw"]
     assert withf["fuse_fw"].shape == (2 * cfg.feature_dim, cfg.feature_dim)

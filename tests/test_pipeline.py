@@ -1,8 +1,10 @@
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
+from scaleseg import pipeline
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
 from scaleseg.cloud import PartitionConfig, build_partitions
 from scaleseg.pipeline import (
@@ -107,7 +109,7 @@ def test_schedule_validation():
 
 def test_run_pipeline_report_fields_and_coverage():
     cloud, parts, pcfg, models = make_setup()
-    preds, report = run_pipeline(models, cloud, parts, pcfg, warmup=False)
+    preds, report = run_pipeline(models, cloud, parts, pcfg)
     assert len(preds) == parts.num_scales
     for pred, size in zip(preds, parts.sizes):
         assert pred.labels.shape == (size,)
@@ -126,26 +128,20 @@ def test_run_pipeline_report_fields_and_coverage():
 
 def test_run_pipeline_threaded_matches_sequential():
     cloud, parts, pcfg, models = make_setup(seed=3)
-    seq, _ = run_pipeline(models, cloud, parts, pcfg, warmup=False)
-    thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True,
-                          warmup=False)
+    seq, _ = run_pipeline(models, cloud, parts, pcfg)
+    thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
     for a, b in zip(seq, thr):
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.labels, b.labels)
 
 
-def test_run_pipeline_failing_scale_raises_not_hangs():
-    cloud, parts, pcfg, models = make_setup(seed=4)
-    broken = ScaleModel(dict(models[0].params))
-    del broken.params["att0_wq"]
-    models = [broken] + models[1:]
-    with pytest.raises(KeyError):
-        run_pipeline(models, cloud, parts, pcfg, warmup=False)
+def _threaded_error(models, cloud, parts, pcfg):
+    """The exception a threaded run raises (None if none); fails on a hang."""
     outcome = []
 
     def call():
         try:
-            run_pipeline(models, cloud, parts, pcfg, threaded=True, warmup=False)
+            run_pipeline(models, cloud, parts, pcfg, threaded=True)
             outcome.append(None)
         except Exception as exc:  # noqa: BLE001 - the test inspects it
             outcome.append(exc)
@@ -154,14 +150,80 @@ def test_run_pipeline_failing_scale_raises_not_hangs():
     worker.start()
     worker.join(timeout=60.0)
     assert not worker.is_alive(), "threaded run hung on a failed scale"
-    assert len(outcome) == 1 and isinstance(outcome[0], KeyError)
+    assert len(outcome) == 1
+    return outcome[0]
+
+
+def test_run_pipeline_failing_scale_raises_not_hangs():
+    cloud, parts, pcfg, models = make_setup(seed=4)
+    broken = ScaleModel(dict(models[0].params))
+    del broken.params["att0_wq"]
+    models = [broken] + models[1:]
+    with pytest.raises(KeyError):
+        run_pipeline(models, cloud, parts, pcfg)
+    assert isinstance(_threaded_error(models, cloud, parts, pcfg), KeyError)
+
+
+def _spy_stages(monkeypatch):
+    """Record the scale id of every fuse and decode the pipeline starts."""
+    calls = []
+    fuse, decode = pipeline.fuse, pipeline.decode
+
+    def spy_fuse(current, *args, **kwargs):
+        calls.append(("fuse", current.scale_id))
+        return fuse(current, *args, **kwargs)
+
+    def spy_decode(model, fused, *args, **kwargs):
+        calls.append(("decode", fused.scale_id))
+        return decode(model, fused, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fuse", spy_fuse)
+    monkeypatch.setattr(pipeline, "decode", spy_decode)
+    return calls
+
+
+def test_threaded_failure_stops_later_scales(monkeypatch):
+    cloud, parts, pcfg, models = make_setup(seed=4)
+    calls = _spy_stages(monkeypatch)
+    broken = ScaleModel(dict(models[0].params))
+    del broken.params["att0_wq"]
+    error = _threaded_error([broken] + models[1:], cloud, parts, pcfg)
+    assert isinstance(error, KeyError)
+    assert [c for c in calls if c[0] == "fuse"] == []
+
+    calls.clear()
+    broken = ScaleModel(dict(models[1].params))
+    del broken.params["fuse_cw"]
+    error = _threaded_error([models[0], broken] + models[2:], cloud, parts, pcfg)
+    assert isinstance(error, KeyError)
+    assert [c for c in calls if c[0] == "decode"] == [("decode", 1)]
+
+
+def _sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of each scale's (labels, logits): any change in the
+# arithmetic or the neighbor order of a forward pass shows up in the bits
+GOLDEN_PREDICTIONS = [
+    ("04ecee78a77eb69e", "f58d222d3ed17075"),
+    ("6ed92dfa83dac2ed", "54239668e36d9e8f"),
+    ("4cd5558bed2d58be", "e3be15662fd995dd"),
+    ("1c9eba1e2d67d7bf", "898a6e9023add568"),
+]
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_run_pipeline_predictions_golden(threaded):
+    cloud, parts, pcfg, models = make_setup(seed=9)
+    preds, _ = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
+    assert [(_sha(p.labels), _sha(p.logits)) for p in preds] == GOLDEN_PREDICTIONS
 
 
 def test_run_pipeline_fusion_bypass_differs():
     cloud, parts, pcfg, models = make_setup(seed=4)
-    with_f, _ = run_pipeline(models, cloud, parts, pcfg, warmup=False)
-    bypass = run_pipeline(models, cloud, parts, pcfg, fusion_enabled=False,
-                          warmup=False)[0]
+    with_f, _ = run_pipeline(models, cloud, parts, pcfg)
+    bypass = run_pipeline(models, cloud, parts, pcfg, fusion_enabled=False)[0]
     assert np.array_equal(with_f[0].logits, bypass[0].logits)  # scale 1 has no fusion
     assert not np.array_equal(with_f[1].logits, bypass[1].logits)
 
@@ -170,33 +232,31 @@ def test_run_pipeline_arrival_times():
     cloud, parts, pcfg, models = make_setup(seed=5, n_points=1500)
     arrivals = [0.0, 5.0, 10.0, 15.0]
     _, report = run_pipeline(models, cloud, parts, pcfg,
-                             arrival_times=arrivals, warmup=False)
+                             arrival_times=arrivals)
     for rec in report.records():
         assert rec["pipelined_ms"] <= rec["cumulative_ms"] + 1e-9
     with pytest.raises(ValueError):
-        run_pipeline(models, cloud, parts, pcfg, arrival_times=[0.0],
-                     warmup=False)
+        run_pipeline(models, cloud, parts, pcfg, arrival_times=[0.0])
     with pytest.raises(ValueError):
         run_pipeline(models, cloud, parts, pcfg,
-                     arrival_times=[0.0, 3.0, 2.0, 4.0], warmup=False)
+                     arrival_times=[0.0, 3.0, 2.0, 4.0])
 
 
 def test_run_pipeline_model_count_checked():
     cloud, parts, pcfg, models = make_setup(seed=6, n_points=1200)
     with pytest.raises(ValueError):
-        run_pipeline(models[:2], cloud, parts, pcfg, warmup=False)
+        run_pipeline(models[:2], cloud, parts, pcfg)
 
 
 def test_run_baseline_union():
     cloud, parts, pcfg, models = make_setup(seed=7)
-    base = run_baseline(models[-1], cloud, parts, parts.num_scales, pcfg,
-                        warmup=False)
+    base = run_baseline(models[-1], cloud, parts, parts.num_scales, pcfg)
     assert base.n_points == sum(parts.sizes)
     assert base.prediction.labels.shape == (base.n_points,)
     assert base.distance_evals > 0
     assert base.upto_scale == parts.num_scales
     # upto=1 processes exactly the scale-1 partition
-    b1 = run_baseline(models[0], cloud, parts, 1, pcfg, warmup=False)
+    b1 = run_baseline(models[0], cloud, parts, 1, pcfg)
     assert b1.n_points == parts.sizes[0]
 
 
@@ -209,7 +269,7 @@ def test_single_scale_pipeline_degenerate():
                           interp_neighbors=3)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=4)
     models = [ScaleModel(init_params(bcfg, seed=0))]
-    preds, report = run_pipeline(models, cloud, parts, pcfg, warmup=False)
+    preds, report = run_pipeline(models, cloud, parts, pcfg)
     rec = report.records()[0]
     assert rec["cumulative_ms"] == rec["pipelined_ms"]
     assert len(preds) == 1

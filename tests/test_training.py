@@ -78,8 +78,7 @@ def test_frozen_lower_scale_untouched_by_scale2_training():
     train_scale([m1], 1, scenes, pcfg, tcfg)
     m1.freeze()
     snapshot = {k: v.copy() for k, v in m1.params.items()}
-    m2 = ScaleModel(init_params(pcfg.backbone, seed=2, with_fusion=True,
-                                k_fuse=pcfg.k_fuse))
+    m2 = ScaleModel(init_params(pcfg.backbone, seed=2, with_fusion=True))
     losses = train_scale([m1, m2], 2, scenes, pcfg, tcfg)
     assert losses[-1] < losses[0] * 1.2  # it trains at all
     for k in snapshot:
