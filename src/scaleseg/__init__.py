@@ -14,6 +14,8 @@ from .backbone import (
     decode,
     encode,
     init_params,
+    plan_interp,
+    plan_stages,
 )
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .cloud import (
@@ -76,6 +78,8 @@ __all__ = [
     "gather",
     "generate_scene",
     "init_params",
+    "plan_interp",
+    "plan_stages",
     "load_checkpoint",
     "read_cloud",
     "run_baseline",

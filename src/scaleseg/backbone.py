@@ -11,9 +11,12 @@ The network is a deliberately small point-transformer-style model:
            coarse features back onto every partition point, a stack of
            linear+rectifier layers, and a linear classification head.
 
-Forwards return (result, cache); backwards consume the cache and emit
-parameter gradients. Inputs (positions, colors) are constants of the
-graph and receive no gradient. Both halves require >= 1 input point.
+Geometry, which depends on positions only, is planned by the caller:
+plan_stages for encode, plan_interp for decode. Forwards then run only
+the dense layers and return (result, cache); backwards consume the
+cache and emit parameter gradients. Inputs (positions, colors) are
+constants of the graph and receive no gradient. Both halves require
+>= 1 input point.
 """
 
 from dataclasses import dataclass, field
@@ -188,21 +191,14 @@ class StagePlan:
     neighbors: np.ndarray  # (N_t, k) attention KNN ids
 
 
-@dataclass(frozen=True)
-class ScalePlan:
-    """Geometry of one partition: encoder stages plus decode interpolation.
-
-    Positions stay fixed while a scale trains, so a plan built once can
-    serve every epoch; encode and decode then only run the dense layers.
-    """
-
-    stages: tuple               # StagePlan per encoder stage
-    interp_ids: np.ndarray      # (N, m) neighbors among the last stage's points
-    interp_weights: np.ndarray  # (N, m) inverse-distance weights
-
-
 def plan_stages(positions, base_voxel, cfg, counter=None):
-    """Pooled positions, pooling groups and attention KNN ids per stage."""
+    """Pooled positions, pooling groups and attention KNN ids per stage.
+
+    positions (N, 3), N >= 1. base_voxel is the partition's own voxel
+    size; stage t pools at base_voxel * downsample_factor**t.
+    """
+    if positions.shape[0] < 1:
+        raise ValueError("plan_stages requires a non-empty partition")
     stages = []
     cur, pool = positions, None
     for t in range(cfg.encoder_stages):
@@ -222,31 +218,20 @@ def plan_interp(src_positions, positions, cfg, counter=None):
     return idx, interp_weights(np.sqrt(d2))
 
 
-def plan_scale(positions, base_voxel, cfg, counter=None):
-    """All parameter-free geometry of one partition, N >= 1."""
-    if positions.shape[0] < 1:
-        raise ValueError("plan_scale requires a non-empty partition")
-    stages = plan_stages(positions, base_voxel, cfg, counter)
-    return ScalePlan(stages, *plan_interp(stages[-1].positions, positions, cfg,
-                                          counter))
-
-
 # ---------------------------------------------------------------------------
 # encode
 
-def encode(model, positions, feats_in, base_voxel, cfg, scale_id=1,
-           counter=None, need_cache=True, plan=None):
+def encode(model, positions, feats_in, stages, scale_id=1, need_cache=True):
     """Partition points -> FeatureMatrix at the coarsest stage.
 
-    positions (N, 3), feats_in (N, in_dim), N >= 1. base_voxel is the
-    partition's own voxel size; it anchors the per-stage pooling grids.
-    plan: a ScalePlan of these positions; built here when omitted.
+    positions (N, 3), feats_in (N, in_dim), N >= 1. stages:
+    plan_stages(positions, ...), one StagePlan per encoder stage.
     """
     n = positions.shape[0]
     if n < 1:
         raise ValueError("encode requires a non-empty partition")
-    stages = (plan.stages if plan is not None
-              else plan_stages(positions, base_voxel, cfg, counter))
+    if stages[0].positions.shape[0] != n:
+        raise ValueError("stages were planned for a different point set")
     p = model.params
     # Center the coordinate features on the bounding-box midpoint so the
     # embedding never sees raw scene offsets. min/max (unlike a mean)
@@ -258,18 +243,14 @@ def encode(model, positions, feats_in, base_voxel, cfg, scale_id=1,
                      p["embed_w2"], p["embed_b2"])
     a, ac = attention_fwd(positions, h, stages[0].neighbors, p, "att0", need_cache)
     cur = h + a
-    cur_pos = positions
     pooled = []
-    for t in range(1, cfg.encoder_stages):
-        st = stages[t]
-        voxel = base_voxel * cfg.downsample_factor ** t
-        ppos, pf, pc = grid_pool_fwd(cur_pos, cur, voxel, need_cache=need_cache,
-                                     groups=st.pool)
-        a, sac = attention_fwd(ppos, pf, st.neighbors, p, f"att{t}", need_cache)
+    for t, st in enumerate(stages[1:], start=1):
+        pf, pc = grid_pool_fwd(cur, st.pool)
+        a, sac = attention_fwd(st.positions, pf, st.neighbors, p, f"att{t}",
+                               need_cache)
         cur = pf + a
-        cur_pos = ppos
         pooled.append((pc, sac))
-    fm = FeatureMatrix(cur_pos, cur, scale_id)
+    fm = FeatureMatrix(stages[-1].positions, cur, scale_id)
     cache = (ec, ac, pooled) if need_cache else None
     return fm, cache
 
@@ -300,35 +281,33 @@ def encode_bwd(g, cache, model):
 # ---------------------------------------------------------------------------
 # decode
 
-def decode(model, fused: FeatureMatrix, positions, cfg, counter=None,
-           need_cache=True, plan=None):
+def decode(model, fused: FeatureMatrix, positions, cfg, interp, need_cache=True):
     """Coarse features -> Prediction for every partition point.
 
     positions: (N, 3) of the full partition; every row receives logits.
-    plan: the ScalePlan whose last stage produced fused.positions; the
-    interpolation is built here when omitted.
+    interp: plan_interp(fused.positions, positions, cfg), one row per
+    position.
     """
     if fused.n < 1:
         raise ValueError("decode requires non-empty fused features")
     if positions.shape[0] < 1:
         raise ValueError("decode requires at least one query point")
+    idx, w = interp
+    if idx.shape[0] != positions.shape[0]:
+        raise ValueError("interp was planned for a different point set")
     p = model.params
-    if plan is None:
-        idx, w = plan_interp(fused.positions, positions, cfg, counter)
-    else:
-        idx, w = plan.interp_ids, plan.interp_weights
-    cur, ic = interp_apply_fwd(fused.features, idx, w, need_cache)
+    cur, ic = interp_apply_fwd(fused.features, idx, w)
     lcaches = []
     for t in range(cfg.encoder_stages):
         z, lc = linear_fwd(cur, p[f"dec{t}_w"], p[f"dec{t}_b"])
         cur, rm = relu_fwd(z)
-        lcaches.append((lc, rm) if need_cache else None)
+        lcaches.append((lc, rm))
     logits, hc = linear_fwd(cur, p["head_w"], p["head_b"])
     cache = (ic, lcaches, hc) if need_cache else None
     return Prediction(logits), cache
 
 
-def decode_bwd(g, cache, model, cfg):
+def decode_bwd(g, cache, model):
     """Returns (dfused_features, grads); grads empty when frozen."""
     ic, lcaches, hc = cache
     p = model.params
@@ -336,7 +315,7 @@ def decode_bwd(g, cache, model, cfg):
     dcur, dhw, dhb = linear_bwd(g, hc)
     grads["head_w"] = dhw
     grads["head_b"] = dhb
-    for t in range(cfg.encoder_stages - 1, -1, -1):
+    for t in range(len(lcaches) - 1, -1, -1):
         lc, rm = lcaches[t]
         dz = relu_bwd(dcur, rm)
         dcur, dw, db = linear_bwd(dz, lc)

@@ -65,6 +65,12 @@ class _Reader:
         self.at += n
         return out
 
+    def text(self, n):
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{self.path}: {exc}") from None
+
     def unpack(self, fmt):
         s = struct.Struct(fmt)
         return s.unpack(self.take(s.size))
@@ -82,7 +88,7 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     (meta_len,) = r.unpack("<I")
     meta = {}
-    for line in r.take(meta_len).decode().splitlines():
+    for line in r.text(meta_len).splitlines():
         key, _, value = line.partition("=")
         meta[key] = value
     try:
@@ -101,7 +107,7 @@ def load_checkpoint(path):
     params = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = r.text(name_len)
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1

@@ -45,18 +45,20 @@ _KNOWN_KEYS = _SCENE_KEYS + _MODEL_KEYS + _TRAIN_KEYS + ("voxel_sizes", "seed")
 _DEFAULT_VOXELS = (0.16, 0.12, 0.08, 0.06)
 
 
-def _merge_config(args, flag_map):
-    """defaults < config file < explicit flags, all as strings."""
+def _merge_config(args):
+    """defaults < config file < explicit flags, all as strings.
+
+    A flag overrides the config key of the same name; a subcommand
+    without that flag leaves the key to the file.
+    """
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(cfgmod.parse_config_file(args.config))
         cfgmod.check_known(cfg, _KNOWN_KEYS, source=args.config)
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _KNOWN_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = str(args.seed)
     return cfg
 
 
@@ -178,9 +180,7 @@ def _emit(lines, out_path):
 # subcommands
 
 def cmd_generate(args):
-    cfg = _merge_config(args, {"points": "points", "classes": "classes",
-                               "objects": "objects", "extents": "extents",
-                               "noise": "noise"})
+    cfg = _merge_config(args)
     if args.no_walls:
         cfg["walls"] = "0"
     if not args.out:
@@ -192,7 +192,7 @@ def cmd_generate(args):
 
 
 def cmd_partition(args):
-    cfg = _merge_config(args, {"voxel_sizes": "voxel_sizes"})
+    cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
     parts = build_partitions(cloud, PartitionConfig(
         voxel_sizes=_voxel_sizes(cfg), rng_seed=_seed(cfg)))
@@ -212,13 +212,7 @@ def cmd_partition(args):
 
 
 def cmd_train(args):
-    cfg = _merge_config(args, {
-        "voxel_sizes": "voxel_sizes", "epochs": "epochs",
-        "batch_size": "batch_size", "learning_rate": "learning_rate",
-        "momentum": "momentum", "scenes": "scenes",
-        "points": "points", "classes": "classes",
-        "feature_dim": "feature_dim", "k_fuse": "k_fuse",
-    })
+    cfg = _merge_config(args)
     if not args.baseline and args.scale is None:
         raise ConfigError("train requires --scale N or --baseline")
     scenes, num_classes = _load_scenes(args, cfg)
@@ -278,7 +272,7 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    cfg = _merge_config(args, {"voxel_sizes": "voxel_sizes"})
+    cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
     sizes = _voxel_sizes(cfg)
     models, pcfg = _load_models(args.models, len(sizes))
@@ -313,8 +307,7 @@ def cmd_infer(args):
 
 
 def cmd_bench(args):
-    cfg = _merge_config(args, {"voxel_sizes": "voxel_sizes",
-                               "points": "points", "classes": "classes"})
+    cfg = _merge_config(args)
     seed = _seed(cfg)
     if args.infile:
         cloud = read_cloud(args.infile)
@@ -357,9 +350,7 @@ def cmd_bench(args):
 
 
 def cmd_eval(args):
-    cfg = _merge_config(args, {"voxel_sizes": "voxel_sizes",
-                               "scenes": "scenes", "points": "points",
-                               "classes": "classes"})
+    cfg = _merge_config(args)
     scenes, num_classes = _load_scenes(args, cfg)
     models, pcfg = _load_models(args.models, len(_voxel_sizes(cfg)))
     if pcfg.backbone.num_classes != num_classes:
@@ -374,7 +365,7 @@ def cmd_eval(args):
 
 
 def cmd_gain(args):
-    cfg = _merge_config(args, {"voxel_sizes": "voxel_sizes"})
+    cfg = _merge_config(args)
     if args.sizes:
         try:
             sizes = [int(t) for t in args.sizes.split(",")]

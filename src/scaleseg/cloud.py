@@ -70,7 +70,6 @@ class PartitionConfig:
 
     voxel_sizes: tuple = (0.16, 0.12, 0.08, 0.06)
     rng_seed: int = 0
-    origin: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         sizes = tuple(float(v) for v in self.voxel_sizes)
@@ -81,7 +80,6 @@ class PartitionConfig:
         if any(b >= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("voxel sizes must be strictly decreasing")
         object.__setattr__(self, "voxel_sizes", sizes)
-        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
 
     @property
     def num_scales(self) -> int:
@@ -112,18 +110,17 @@ class PartitionSet:
         return tuple(len(p) for p in self.partitions)
 
 
-def voxel_keys(cloud: PointCloud, voxel_size: float, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Integer voxel coordinates floor((p - origin) / voxel_size), shape (N, 3)."""
+def voxel_keys(cloud: PointCloud, voxel_size: float) -> np.ndarray:
+    """Integer voxel coordinates floor(p / voxel_size), shape (N, 3)."""
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
-    return _voxel_keys_raw(cloud.positions, float(voxel_size), origin)
+    return _voxel_keys_raw(cloud.positions, float(voxel_size))
 
 
-def _voxel_keys_raw(positions, voxel_size, origin=(0.0, 0.0, 0.0)):
+def _voxel_keys_raw(positions, voxel_size):
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
-    shifted = positions - np.asarray(origin, dtype=np.float64)
-    return np.floor(shifted / voxel_size).astype(np.int64)
+    return np.floor(positions / voxel_size).astype(np.int64)
 
 
 def pack_voxel_keys(keys: np.ndarray) -> np.ndarray:
@@ -173,7 +170,7 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
             partitions.append(np.empty(0, dtype=np.int64))
             continue
         pool_pos = cloud.positions[pool]
-        keys = _voxel_keys_raw(pool_pos, vsize, cfg.origin)
+        keys = _voxel_keys_raw(pool_pos, vsize)
         packed = pack_voxel_keys(keys)
         # canonical (x, y, z) order inside each voxel makes the pick
         # independent of input point order (up to duplicate coordinates)

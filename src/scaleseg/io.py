@@ -99,6 +99,14 @@ def read_cloud(path, fmt=None, num_classes=None) -> PointCloud:
     return _read_ascii(blob, path, num_classes)
 
 
+def _make_cloud(path, **fields):
+    """PointCloud, with its own validation errors reported as file errors."""
+    try:
+        return PointCloud(**fields)
+    except ValueError as exc:
+        raise CloudFormatError(f"{path}: {exc}") from None
+
+
 def _read_binary(blob, path):
     if len(blob) < _HEADER.size:
         raise CloudFormatError(f"{path}: truncated header")
@@ -124,9 +132,9 @@ def _read_binary(blob, path):
         if labels.size and labels.max() >= num_classes:
             raise CloudFormatError(
                 f"{path}: label {labels.max()} >= num_classes {num_classes}")
-    return PointCloud(positions=rec["xyz"].astype(np.float64),
-                      colors=rec["rgb"].astype(np.float64) / 255.0,
-                      labels=labels, num_classes=num_classes)
+    return _make_cloud(path, positions=rec["xyz"].astype(np.float64),
+                       colors=rec["rgb"].astype(np.float64) / 255.0,
+                       labels=labels, num_classes=num_classes)
 
 
 def _read_ascii(blob, path, num_classes):
@@ -170,5 +178,5 @@ def _read_ascii(blob, path, num_classes):
         if lab.size and lab.max() >= num_classes:
             raise CloudFormatError(
                 f"{path}: label {lab.max()} >= num_classes {num_classes}")
-    return PointCloud(positions=pos, colors=col.astype(np.float64) / 255.0,
-                      labels=lab, num_classes=num_classes or 0)
+    return _make_cloud(path, positions=pos, colors=col.astype(np.float64) / 255.0,
+                       labels=lab, num_classes=num_classes or 0)

@@ -170,14 +170,14 @@ def attention_bwd(g, cache, p, prefix):
 # ---------------------------------------------------------------------------
 # voxel-mean pooling
 
-def grid_pool_groups(positions, voxel_size, origin=(0.0, 0.0, 0.0)):
+def grid_pool_groups(positions, voxel_size):
     """Parameter-free half of grid pooling: (pooled_pos, order, starts, counts).
 
     Output rows are ordered by packed voxel key, and group members are
     taken in coordinate-sorted order, so the result is independent of
     input point order.
     """
-    packed = pack_voxel_keys(_voxel_keys_raw(positions, voxel_size, origin))
+    packed = pack_voxel_keys(_voxel_keys_raw(positions, voxel_size))
     order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0], packed))
     sk = packed[order]
     starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
@@ -186,23 +186,16 @@ def grid_pool_groups(positions, voxel_size, origin=(0.0, 0.0, 0.0)):
     return pooled_pos, order, starts, counts
 
 
-def grid_pool_fwd(positions, feats, voxel_size, origin=(0.0, 0.0, 0.0),
-                  need_cache=True, groups=None):
-    """Mean positions/features per occupied voxel.
-
-    groups: grid_pool_groups(positions, voxel_size, origin), when the
-    caller already holds it; otherwise it is computed here.
-    """
-    if groups is None:
-        groups = grid_pool_groups(positions, voxel_size, origin)
-    pooled_pos, order, starts, counts = groups
+def grid_pool_fwd(feats, groups):
+    """Mean features per occupied voxel; groups from grid_pool_groups."""
+    _, order, starts, counts = groups
     pooled_feats = np.add.reduceat(feats[order], starts, axis=0) / counts[:, None]
-    cache = (order, starts, counts, feats.shape[0]) if need_cache else None
-    return pooled_pos, pooled_feats, cache
+    return pooled_feats, (order, starts, counts)
 
 
 def grid_pool_bwd(g, cache):
-    order, starts, counts, n = cache
+    order, starts, counts = cache
+    n = order.size
     group_of_sorted = np.zeros(n, dtype=np.int64)
     group_of_sorted[starts] = 1
     group_of_sorted = np.cumsum(group_of_sorted) - 1
@@ -224,11 +217,10 @@ def interp_weights(dists):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def interp_apply_fwd(src_feats, idx, w, need_cache=True):
+def interp_apply_fwd(src_feats, idx, w):
     """out_j = sum_m w[j, m] * src_feats[idx[j, m]]; weights are constants."""
     out = (w[:, :, None] * src_feats[idx]).sum(axis=1)
-    cache = (idx, w, src_feats.shape[0]) if need_cache else None
-    return out, cache
+    return out, (idx, w, src_feats.shape[0])
 
 
 def interp_apply_bwd(g, cache):

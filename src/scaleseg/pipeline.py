@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneConfig, FeatureMatrix, Prediction, decode, encode
+from .backbone import (BackboneConfig, Prediction, decode, encode, plan_interp,
+                       plan_stages)
 from .cloud import PartitionSet, PointCloud
 from .fusion import FeatureStore, fuse
 from .knn import EvalCounter
@@ -205,8 +206,9 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
             out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0)
             return
         t0 = time.perf_counter()
-        fm, _ = encode(model, part_pos, part_feats, base_voxel, backbone_cfg,
-                       scale_id=i + 1, counter=counter, need_cache=False)
+        stages = plan_stages(part_pos, base_voxel, backbone_cfg, counter)
+        fm, _ = encode(model, part_pos, part_feats, stages, scale_id=i + 1,
+                       need_cache=False)
         t1 = time.perf_counter()
         if ready is not None and i > 0:
             ready[i - 1].wait()
@@ -223,8 +225,9 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         if ready is not None:
             ready[i].set()
         t2 = time.perf_counter()
-        pred, _ = decode(model, fused, part_pos, backbone_cfg,
-                         counter=counter, need_cache=False)
+        interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
+        pred, _ = decode(model, fused, part_pos, backbone_cfg, interp,
+                         need_cache=False)
         t3 = time.perf_counter()
         out_preds[i] = pred
         out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
@@ -324,10 +327,10 @@ def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
     base_voxel = parts.voxel_sizes[upto_scale - 1]
     counter = EvalCounter()
     t0 = time.perf_counter()
-    fm, _ = encode(model, pos, feats, base_voxel, cfg.backbone,
-                   counter=counter, need_cache=False)
-    pred, _ = decode(model, fm, pos, cfg.backbone,
-                     counter=counter, need_cache=False)
+    stages = plan_stages(pos, base_voxel, cfg.backbone, counter)
+    fm, _ = encode(model, pos, feats, stages, need_cache=False)
+    interp = plan_interp(fm.positions, pos, cfg.backbone, counter)
+    pred, _ = decode(model, fm, pos, cfg.backbone, interp, need_cache=False)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return BaselineResult(pred, int(union.size), wall_ms, counter.count,
                           upto_scale)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import decode, decode_bwd, encode, encode_bwd, plan_scale
+from .backbone import (decode, decode_bwd, encode, encode_bwd, plan_interp,
+                       plan_stages)
 from .fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from .layers import softmax_cross_entropy
 from .metrics import ConfusionMatrix, compute_metrics
@@ -46,9 +47,10 @@ def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
         idx = parts.partitions[j]
         if idx.size == 0:
             continue
-        fm, _ = encode(models[j], scene_cloud.positions[idx], feats_all[idx],
-                       parts.voxel_sizes[j], cfg.backbone, scale_id=j + 1,
-                       need_cache=False)
+        positions = scene_cloud.positions[idx]
+        stages = plan_stages(positions, parts.voxel_sizes[j], cfg.backbone)
+        fm, _ = encode(models[j], positions, feats_all[idx], stages,
+                       scale_id=j + 1, need_cache=False)
         if j > 0 and store.size > 0:
             fm, _ = fuse(fm, store, models[j].params, cfg.k_fuse,
                          need_cache=False)
@@ -58,18 +60,17 @@ def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
 
 def _scene_forward_backward(model, sample, cfg: PipelineConfig):
     """Loss and parameter gradients for one scene at the trained scale."""
-    positions, feats, labels, base_voxel, store, scale_id, plan, neighbors = sample
-    fm, ecache = encode(model, positions, feats, base_voxel, cfg.backbone,
-                        scale_id=scale_id, plan=plan)
+    positions, feats, labels, store, scale_id, stages, interp, neighbors = sample
+    fm, ecache = encode(model, positions, feats, stages, scale_id=scale_id)
     fcache = None
     fused = fm
     if store.num_scales > 0:
         fused, fcache = fuse(fm, store, model.params, cfg.k_fuse,
                              neighbors=neighbors)
-    pred, dcache = decode(model, fused, positions, cfg.backbone, plan=plan)
+    pred, dcache = decode(model, fused, positions, cfg.backbone, interp)
     loss, dlogits = softmax_cross_entropy(pred.logits, labels)
 
-    dfused, grads = decode_bwd(dlogits, dcache, model, cfg.backbone)
+    dfused, grads = decode_bwd(dlogits, dcache, model)
     if fcache is not None:
         dcur, fgrads = fuse_bwd(dfused, fcache, model.params)
         grads.update(fgrads)
@@ -112,12 +113,14 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
             continue
         store = _build_store(models, cloud, parts, scale_id - 1, cfg)
         positions = cloud.positions[idx]
-        base_voxel = parts.voxel_sizes[scale_id - 1]
-        plan = plan_scale(positions, base_voxel, cfg.backbone)
-        neighbors = (fusion_neighbors(store, plan.stages[-1].positions, cfg.k_fuse)
+        stages = plan_stages(positions, parts.voxel_sizes[scale_id - 1],
+                             cfg.backbone)
+        coarse = stages[-1].positions
+        interp = plan_interp(coarse, positions, cfg.backbone)
+        neighbors = (fusion_neighbors(store, coarse, cfg.k_fuse)
                      if store.num_scales > 0 else None)
         samples.append((positions, cloud.xyzrgb()[idx], cloud.labels[idx],
-                        base_voxel, store, scale_id, plan, neighbors))
+                        store, scale_id, stages, interp, neighbors))
     if not samples:
         raise ValueError("every scene has an empty partition at this scale")
 

@@ -20,6 +20,8 @@ from scaleseg.backbone import (
     encode,
     encode_bwd,
     init_params,
+    plan_interp,
+    plan_stages,
 )
 from scaleseg.checkpoint import save_checkpoint
 from scaleseg.cloud import (
@@ -193,24 +195,28 @@ def test_criterion_5_gradient_correctness(capsys):
     labels = rng.integers(0, 3, size=n2)
     frozen = ScaleModel(init_params(bcfg, seed=10))
     frozen.freeze()
-    fm1, _ = encode(frozen, pos1, feats1, 0.5, bcfg, scale_id=1,
-                    need_cache=False)
+    fm1, _ = encode(frozen, pos1, feats1, plan_stages(pos1, 0.5, bcfg),
+                    scale_id=1, need_cache=False)
     model = ScaleModel(init_params(bcfg, seed=11, with_fusion=True))
     for v in model.params.values():  # move zero biases off relu kinks
         v += rng.normal(size=v.shape) * 0.05
 
+    stages2 = plan_stages(pos2, 0.3, bcfg)
+    interp2 = plan_interp(stages2[-1].positions, pos2, bcfg)
+
     def forward(need_cache=False):
         store = FeatureStore(bcfg.feature_dim)
         store.add_scale(fm1)
-        fm2, ec = encode(model, pos2, feats2, 0.3, bcfg, scale_id=2,
+        fm2, ec = encode(model, pos2, feats2, stages2, scale_id=2,
                          need_cache=need_cache)
         fused, fc = fuse(fm2, store, model.params, 4, need_cache=need_cache)
-        pred, dc = decode(model, fused, pos2, bcfg, need_cache=need_cache)
+        pred, dc = decode(model, fused, pos2, bcfg, interp2,
+                          need_cache=need_cache)
         loss, dlogits = softmax_cross_entropy(pred.logits, labels)
         return loss, dlogits, ec, fc, dc
 
     loss, dlogits, ec, fc, dc = forward(need_cache=True)
-    dfused, dgrads = decode_bwd(dlogits, dc, model, bcfg)
+    dfused, dgrads = decode_bwd(dlogits, dc, model)
     dfeats, fgrads = fuse_bwd(dfused, fc, model.params)
     egrads = encode_bwd(dfeats, ec, model)
     grads = {**egrads, **fgrads, **dgrads}
@@ -352,13 +358,14 @@ def test_criterion_9_learning_sanity(capsys):
     def partition_miou(model, cloud, parts, scale_id, store=None,
                        fusion_on=False):
         sub = gather(cloud, parts.partitions[scale_id - 1])
-        fm, _ = encode(model, sub.positions, sub.xyzrgb(),
-                       parts.voxel_sizes[scale_id - 1], bcfg, scale_id,
+        stages = plan_stages(sub.positions, parts.voxel_sizes[scale_id - 1], bcfg)
+        fm, _ = encode(model, sub.positions, sub.xyzrgb(), stages, scale_id,
                        need_cache=False)
         if fusion_on:
             fm, _ = fuse(fm, store, model.params, pcfg.k_fuse,
                          need_cache=False)
-        pred, _ = decode(model, fm, sub.positions, bcfg, need_cache=False)
+        interp = plan_interp(fm.positions, sub.positions, bcfg)
+        pred, _ = decode(model, fm, sub.positions, bcfg, interp, need_cache=False)
         cm = ConfusionMatrix(3)
         cm.update(sub.labels, pred.labels)
         return compute_metrics(cm)[2]
@@ -387,7 +394,8 @@ def test_criterion_9_learning_sanity(capsys):
                     TrainConfig(epochs=30, batch_size=1, learning_rate=0.01,
                                 momentum=0.9, rng_seed=0))
         sub1 = gather(cloud, parts.partitions[0])
-        fm1, _ = encode(m1, sub1.positions, sub1.xyzrgb(), voxels[0], bcfg, 1,
+        fm1, _ = encode(m1, sub1.positions, sub1.xyzrgb(),
+                        plan_stages(sub1.positions, voxels[0], bcfg), 1,
                         need_cache=False)
         store = FeatureStore(bcfg.feature_dim)
         store.add_scale(fm1)

@@ -11,7 +11,8 @@ from scaleseg.backbone import (
     encode,
     encode_bwd,
     init_params,
-    plan_scale,
+    plan_interp,
+    plan_stages,
 )
 from scaleseg.knn import EvalCounter
 from scaleseg.layers import softmax_cross_entropy
@@ -63,7 +64,7 @@ def test_encode_shapes_and_pooling():
     cfg = small_cfg()
     positions, feats = random_inputs(rng, 120)
     model = ScaleModel(init_params(cfg, seed=0))
-    fm, cache = encode(model, positions, feats, base_voxel=0.4, cfg=cfg,
+    fm, cache = encode(model, positions, feats, plan_stages(positions, 0.4, cfg),
                        scale_id=2)
     assert isinstance(fm, FeatureMatrix)
     assert fm.scale_id == 2
@@ -81,7 +82,7 @@ def test_encode_single_stage_keeps_resolution():
     cfg = small_cfg(encoder_stages=1)
     positions, feats = random_inputs(rng, 40)
     model = ScaleModel(init_params(cfg, seed=1))
-    fm, _ = encode(model, positions, feats, base_voxel=0.3, cfg=cfg)
+    fm, _ = encode(model, positions, feats, plan_stages(positions, 0.3, cfg))
     assert fm.n == 40
     assert np.array_equal(fm.positions, positions)
 
@@ -91,8 +92,9 @@ def test_decode_covers_all_points():
     cfg = small_cfg()
     positions, feats = random_inputs(rng, 80)
     model = ScaleModel(init_params(cfg, seed=2))
-    fm, _ = encode(model, positions, feats, base_voxel=0.5, cfg=cfg)
-    pred, _ = decode(model, fm, positions, cfg)
+    fm, _ = encode(model, positions, feats, plan_stages(positions, 0.5, cfg))
+    pred, _ = decode(model, fm, positions, cfg,
+                     plan_interp(fm.positions, positions, cfg))
     assert isinstance(pred, Prediction)
     assert pred.logits.shape == (80, cfg.num_classes)
     assert pred.labels.shape == (80,)
@@ -110,11 +112,14 @@ def test_point_order_equivariance():
     cfg = small_cfg()
     positions, feats = random_inputs(rng, 60)
     model = ScaleModel(init_params(cfg, seed=5))
-    fm, _ = encode(model, positions, feats, base_voxel=0.5, cfg=cfg)
-    pred, _ = decode(model, fm, positions, cfg)
+    fm, _ = encode(model, positions, feats, plan_stages(positions, 0.5, cfg))
+    pred, _ = decode(model, fm, positions, cfg,
+                     plan_interp(fm.positions, positions, cfg))
     perm = rng.permutation(60)
-    fm2, _ = encode(model, positions[perm], feats[perm], base_voxel=0.5, cfg=cfg)
-    pred2, _ = decode(model, fm2, positions[perm], cfg)
+    fm2, _ = encode(model, positions[perm], feats[perm],
+                    plan_stages(positions[perm], 0.5, cfg))
+    pred2, _ = decode(model, fm2, positions[perm], cfg,
+                      plan_interp(fm2.positions, positions[perm], cfg))
     # coarse set is canonically ordered, so it is bit-identical; per-point
     # outputs follow the permutation
     assert np.array_equal(fm.positions, fm2.positions)
@@ -127,7 +132,7 @@ def test_frozen_model_contract():
     cfg = small_cfg()
     positions, feats = random_inputs(rng, 30)
     model = ScaleModel(init_params(cfg, seed=6))
-    fm, cache = encode(model, positions, feats, base_voxel=0.4, cfg=cfg)
+    fm, cache = encode(model, positions, feats, plan_stages(positions, 0.4, cfg))
     g = rng.normal(size=fm.features.shape)
     assert encode_bwd(g, cache, model)  # trainable: non-empty grads
     model.freeze()
@@ -145,16 +150,18 @@ def test_encode_decode_loss_gradcheck_spot():
     positions, feats = random_inputs(rng, 14)
     labels = rng.integers(0, cfg.num_classes, size=14)
     model = ScaleModel(init_params(cfg, seed=7))
+    stages = plan_stages(positions, 0.5, cfg)
+    interp = plan_interp(stages[-1].positions, positions, cfg)
 
     def loss():
-        fm, _ = encode(model, positions, feats, 0.5, cfg, need_cache=False)
-        pred, _ = decode(model, fm, positions, cfg, need_cache=False)
+        fm, _ = encode(model, positions, feats, stages, need_cache=False)
+        pred, _ = decode(model, fm, positions, cfg, interp, need_cache=False)
         return softmax_cross_entropy(pred.logits, labels)[0]
 
-    fm, ec = encode(model, positions, feats, 0.5, cfg)
-    pred, dc = decode(model, fm, positions, cfg)
+    fm, ec = encode(model, positions, feats, stages)
+    pred, dc = decode(model, fm, positions, cfg, interp)
     _, dlogits = softmax_cross_entropy(pred.logits, labels)
-    dfused, dgrads = decode_bwd(dlogits, dc, model, cfg)
+    dfused, dgrads = decode_bwd(dlogits, dc, model)
     egrads = encode_bwd(dfused, ec, model)
     grads = {**egrads, **dgrads}
     h = 1e-6
@@ -175,33 +182,21 @@ def test_encode_decode_loss_gradcheck_spot():
         assert err < 1e-6, f"{name}: {err}"
 
 
-def test_planned_forward_matches_unplanned():
+def test_plan_stages_rejects_empty_partition():
     rng = np.random.default_rng(8)
     cfg = small_cfg(encoder_stages=3)
     positions, feats = random_inputs(rng, 40)
     model = ScaleModel(init_params(cfg, seed=9))
-    fm, ec = encode(model, positions, feats, 0.3, cfg)
-    pred, dc = decode(model, fm, positions, cfg)
-
-    plan_counter = EvalCounter()
-    plan = plan_scale(positions, 0.3, cfg, counter=plan_counter)
-    assert plan_counter.count > 0
-    dense_counter = EvalCounter()
-    fm_p, ec_p = encode(model, positions, feats, 0.3, cfg,
-                        counter=dense_counter, plan=plan)
-    pred_p, dc_p = decode(model, fm_p, positions, cfg,
-                          counter=dense_counter, plan=plan)
-    assert dense_counter.count == 0  # no neighbor search left to do
-    assert np.array_equal(fm.positions, fm_p.positions)
-    assert np.array_equal(fm.features, fm_p.features)
-    assert np.array_equal(pred.logits, pred_p.logits)
-    g = rng.normal(size=pred.logits.shape)
-    d, grads = decode_bwd(g, dc, model, cfg)
-    d_p, grads_p = decode_bwd(g, dc_p, model, cfg)
-    grads.update(encode_bwd(d, ec, model))
-    grads_p.update(encode_bwd(d_p, ec_p, model))
-    assert sorted(grads) == sorted(grads_p)
-    for name in grads:
-        assert np.array_equal(grads[name], grads_p[name])
+    counter = EvalCounter()
+    stages = plan_stages(positions, 0.3, cfg, counter=counter)
+    assert len(stages) == 3
+    assert counter.count > 0
     with pytest.raises(ValueError):
-        plan_scale(np.zeros((0, 3)), 0.3, cfg)
+        plan_stages(np.zeros((0, 3)), 0.3, cfg)
+    # geometry planned for other points is refused, not silently misused
+    with pytest.raises(ValueError):
+        encode(model, positions[:30], feats[:30], stages)
+    fm, _ = encode(model, positions, feats, stages)
+    interp = plan_interp(fm.positions, positions, cfg)
+    with pytest.raises(ValueError):
+        decode(model, fm, positions[:30], cfg, interp)

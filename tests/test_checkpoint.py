@@ -68,3 +68,16 @@ def test_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", [b"scale_id=2", b"head_b"])
+def test_non_utf8_text(tmp_path, text):
+    # one byte of the metadata block or of a tensor name is not UTF-8
+    c = cfg()
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c, extras={"scale_id": 2})
+    data = path.read_bytes()
+    assert data.count(text) == 1
+    path.write_bytes(data.replace(text, text[:-1] + b"\xff"))
+    with pytest.raises(CheckpointFormatError, match="utf-8"):
+        load_checkpoint(path)

@@ -66,6 +66,22 @@ def test_missing_input_file_is_io_error(tmp_path):
     assert run(["partition", "--in", str(tmp_path / "nope.rspc")]) == 2
 
 
+def test_non_finite_input_file_is_io_error(tmp_path, capsys):
+    scene = tmp_path / "nan.xyz"
+    scene.write_text("0 0 0 0 0 0\nnan 1 1 10 10 10\n")
+    assert run(["partition", "--in", str(scene)]) == 2
+    assert "nan.xyz" in capsys.readouterr().err
+
+
+def test_flag_overrides_config_file(tmp_path):
+    scene = tmp_path / "s.rspc"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("points=800\n")
+    assert run(["generate", "--config", str(cfgfile), "--points", "500",
+                "--out", str(scene)]) == 0
+    assert read_cloud(scene).n == 500
+
+
 def test_config_file_flow(tmp_path, capsys):
     scene = tmp_path / "s.rspc"
     cfgfile = tmp_path / "run.cfg"
@@ -156,6 +172,20 @@ def test_infer_checkpoint_missing_tensor(tmp_path, trained, capsys):
     assert run(["infer", "--in", str(scene), "--models", str(bad),
                 "--voxel-sizes", "0.5,0.35"]) == 2
     assert "fuse_cw" in capsys.readouterr().err
+
+
+def test_infer_non_utf8_checkpoint(tmp_path, trained, capsys):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    data = (trained / "scale_1.ckpt").read_bytes()
+    assert data.count(b"role=scale") == 1
+    (bad / "scale_1.ckpt").write_bytes(data.replace(b"role=scale",
+                                                    b"role=scal\xff"))
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5"]) == 2
+    assert "utf-8" in capsys.readouterr().err
 
 
 def test_eval_reports_metrics(trained, capsys):

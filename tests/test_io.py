@@ -113,6 +113,9 @@ def test_ascii_bad_lines(tmp_path):
     p.write_text("0 0 x 0 0 0\n")
     with pytest.raises(CloudFormatError):
         read_cloud(p)
+    p.write_text("nan 0 0 0 0 0\n")  # parses as a float, but not finite
+    with pytest.raises(CloudFormatError, match="bad.xyz.*finite"):
+        read_cloud(p)
 
 
 def test_ascii_label_class_inference(tmp_path):
@@ -134,6 +137,16 @@ def test_binary_label_range_check(tmp_path, labeled_cloud):
     data[off:off + 2] = (60000).to_bytes(2, "little")
     path.write_bytes(bytes(data))
     with pytest.raises(CloudFormatError, match="label"):
+        read_cloud(path)
+
+
+def test_binary_non_finite_position(tmp_path, labeled_cloud):
+    path = tmp_path / "t.rspc"
+    write_cloud(labeled_cloud, path)
+    data = bytearray(path.read_bytes())
+    data[19:27] = np.float64(np.nan).tobytes()  # x of point 0, after the header
+    path.write_bytes(bytes(data))
+    with pytest.raises(CloudFormatError, match="t.rspc.*finite"):
         read_cloud(path)
 
 

@@ -7,6 +7,7 @@ from scaleseg.layers import (
     attention_fwd,
     grid_pool_bwd,
     grid_pool_fwd,
+    grid_pool_groups,
     interp_apply_bwd,
     interp_apply_fwd,
     interp_weights,
@@ -184,14 +185,18 @@ def test_grid_pool_means_and_order():
         [1.1, 0.1, 0.1],                     # voxel (1,0,0)
     ])
     feats = np.array([[1.0, 0.0], [3.0, 2.0], [5.0, 4.0]])
-    pp, pf, _ = grid_pool_fwd(positions, feats, 1.0)
+    groups = grid_pool_groups(positions, 1.0)
+    pp = groups[0]
+    pf, _ = grid_pool_fwd(feats, groups)
     assert pp.shape == (2, 3) and pf.shape == (2, 2)
     assert np.allclose(pp[0], [0.15, 0.15, 0.15])
     assert np.allclose(pf[0], [2.0, 1.0])
     assert np.allclose(pf[1], [5.0, 4.0])
     # input order must not matter
     perm = [2, 0, 1]
-    pp2, pf2, _ = grid_pool_fwd(positions[perm], feats[perm], 1.0)
+    groups2 = grid_pool_groups(positions[perm], 1.0)
+    pp2 = groups2[0]
+    pf2, _ = grid_pool_fwd(feats[perm], groups2)
     assert np.array_equal(pp, pp2)
     assert np.array_equal(pf, pf2)
 
@@ -200,11 +205,12 @@ def test_grid_pool_gradcheck():
     rng = np.random.default_rng(6)
     positions = rng.uniform(0, 2, size=(12, 3))
     feats = rng.normal(size=(12, 4))
-    _, pf, cache = grid_pool_fwd(positions, feats, 0.9)
+    groups = grid_pool_groups(positions, 0.9)
+    pf, cache = grid_pool_fwd(feats, groups)
     r = rng.normal(size=pf.shape)
 
     def loss():
-        return float((grid_pool_fwd(positions, feats, 0.9)[1] * r).sum())
+        return float((grid_pool_fwd(feats, groups)[0] * r).sum())
 
     dfeats = grid_pool_bwd(r, cache)
     assert rel_err(dfeats, num_grad(loss, feats)) < 1e-8
