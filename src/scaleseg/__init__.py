@@ -19,6 +19,7 @@ from .backbone import (
 )
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .cloud import (
+    CloudExtentError,
     PartitionConfig,
     PartitionSet,
     PointCloud,
@@ -50,6 +51,7 @@ __all__ = [
     "BackboneConfig",
     "BaselineResult",
     "CheckpointFormatError",
+    "CloudExtentError",
     "CloudFormatError",
     "ComplexityEstimate",
     "ConfusionMatrix",

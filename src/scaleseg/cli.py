@@ -17,7 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from .backbone import BackboneConfig, ScaleModel, init_params
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .cloud import PartitionConfig, PartitionSet, build_partitions, gather
+from .cloud import (CloudExtentError, PartitionConfig, PartitionSet,
+                    build_partitions, gather)
 from .config import ConfigError
 from .io import CloudFormatError, read_cloud, write_cloud
 from .pipeline import (
@@ -488,8 +489,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except (CloudFormatError, CheckpointFormatError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as exc:
+    except (CloudFormatError, CloudExtentError, CheckpointFormatError,
+            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

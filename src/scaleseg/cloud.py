@@ -17,6 +17,10 @@ import numpy as np
 _KEY_BOUND = 1 << 20
 
 
+class CloudExtentError(ValueError):
+    """A valid cloud too far from the origin for the packed voxel keys."""
+
+
 def _as_f64(arr, name, cols):
     a = np.ascontiguousarray(arr, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != cols:
@@ -123,9 +127,13 @@ def _voxel_keys_raw(positions, voxel_size):
     return np.floor(positions / voxel_size).astype(np.int64)
 
 
+def _keys_in_range(keys):
+    return not keys.size or (keys.min() >= -_KEY_BOUND and keys.max() < _KEY_BOUND)
+
+
 def pack_voxel_keys(keys: np.ndarray) -> np.ndarray:
     """Pack (N, 3) integer voxel coords into one int64 per point."""
-    if keys.size and (keys.min() < -_KEY_BOUND or keys.max() >= _KEY_BOUND):
+    if not _keys_in_range(keys):
         raise ValueError("voxel grid coordinates exceed the supported +/-2^20 range")
     k = keys + _KEY_BOUND
     return (k[:, 0] << 42) | (k[:, 1] << 21) | k[:, 2]
@@ -161,7 +169,8 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
 
     Scale i voxelizes only the points not claimed by scales < i, so no
     point appears in two partitions. A scale with an empty remaining
-    pool yields an empty partition.
+    pool yields an empty partition. Raises CloudExtentError when a point
+    lies 2^20 or more voxels from the origin at its scale's voxel size.
     """
     pool = np.arange(cloud.n, dtype=np.int64)
     partitions = []
@@ -171,6 +180,11 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
             continue
         pool_pos = cloud.positions[pool]
         keys = _voxel_keys_raw(pool_pos, vsize)
+        if not _keys_in_range(keys):
+            raise CloudExtentError(
+                f"cloud extends beyond the supported +/-2^20 voxels from the "
+                f"origin at voxel size {vsize:g} m (voxel coordinates "
+                f"{keys.min()}..{keys.max()})")
         packed = pack_voxel_keys(keys)
         # canonical (x, y, z) order inside each voxel makes the pick
         # independent of input point order (up to duplicate coordinates)

@@ -162,8 +162,10 @@ class TimingReport:
 
     def records(self):
         return [{"scale": s.scale, "n_points": s.n_points,
+                 "n_coarse": s.n_coarse, "arrival_ms": s.arrival_ms,
                  "encode_ms": s.encode_ms, "fuse_ms": s.fuse_ms,
                  "decode_ms": s.decode_ms, "cumulative_ms": s.cumulative_ms,
+                 "completion_ms": s.completion_ms,
                  "pipelined_ms": s.pipelined_ms,
                  "distance_evals": s.distance_evals} for s in self.scales]
 

@@ -73,6 +73,15 @@ def test_non_finite_input_file_is_io_error(tmp_path, capsys):
     assert "nan.xyz" in capsys.readouterr().err
 
 
+def test_cloud_beyond_voxel_key_range_is_input_error(tmp_path, capsys):
+    # a valid cloud whose second point lies 6.25M voxels out at 0.16 m
+    scene = tmp_path / "far.xyz"
+    scene.write_text("0 0 0 0 0 0\n1e6 0 0 10 10 10\n")
+    assert run(["partition", "--in", str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert "voxel size 0.16" in err and "2^20" in err
+
+
 def test_flag_overrides_config_file(tmp_path):
     scene = tmp_path / "s.rspc"
     cfgfile = tmp_path / "run.cfg"

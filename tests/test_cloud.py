@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scaleseg.cloud import (
+    CloudExtentError,
     PartitionConfig,
     PointCloud,
     build_partitions,
@@ -124,6 +125,15 @@ def test_sparse_cloud_warns():
     with pytest.warns(UserWarning):
         parts = build_partitions(cloud, PartitionConfig(voxel_sizes=(1.0, 0.5)))
     assert parts.sizes == (1, 0)
+
+
+def test_cloud_beyond_key_range_rejected():
+    pos = np.array([[0.0, 0.0, 0.0], [-1e6, 0.0, 0.0]])
+    cloud = PointCloud(pos, np.zeros((2, 3)))
+    with pytest.raises(CloudExtentError, match="voxel size 0.5 m"):
+        build_partitions(cloud, PartitionConfig(voxel_sizes=(0.5,)))
+    # at 1 m the same cloud fits inside the key range
+    assert build_partitions(cloud, PartitionConfig(voxel_sizes=(1.0,))).sizes == (2,)
 
 
 def test_gather_bounds_checked():

@@ -18,6 +18,14 @@ def brute_reference(points, queries, k):
     return ids, out
 
 
+def _assert_matches_reference(points, queries, k, label):
+    ids, d2 = knn_topk(points, queries, k)
+    ref_ids, ref_d2 = brute_reference(points, queries, k)
+    assert np.array_equal(ids, ref_ids), label
+    assert d2.dtype == ref_d2.dtype and d2.shape == ref_d2.shape, label
+    assert d2.tobytes() == ref_d2.tobytes(), label
+
+
 def test_knn_matches_brute_reference():
     rng = np.random.default_rng(0)
     for trial in range(20):
@@ -26,10 +34,17 @@ def test_knn_matches_brute_reference():
         k = int(rng.integers(1, 10))
         points = rng.normal(size=(m, 3))
         queries = rng.normal(size=(q, 3))
-        ids, d2 = knn_topk(points, queries, k)
-        ref_ids, ref_d2 = brute_reference(points, queries, k)
-        assert np.array_equal(ids, ref_ids), f"trial {trial}"
-        assert np.allclose(d2, ref_d2, rtol=0, atol=1e-12)
+        _assert_matches_reference(points, queries, k, f"normal trial {trial}")
+    # Coordinates on a 0.1 lattice make many distances tie exactly; up to
+    # 129 queries span up to five query chunks, and every fourth trial
+    # asks for k >= M.
+    for trial in range(40):
+        m = int(rng.integers(1, 300))
+        q = int(rng.integers(1, 130))
+        k = m + int(rng.integers(0, 3)) if trial % 4 == 0 else int(rng.integers(1, 12))
+        points = np.round(rng.uniform(-1.0, 1.0, size=(m, 3)), 1)
+        queries = np.round(rng.uniform(-1.0, 1.0, size=(q, 3)), 1)
+        _assert_matches_reference(points, queries, k, f"lattice trial {trial}")
 
 
 def test_collinear_oracle():
@@ -58,20 +73,18 @@ def test_k_clamped_to_point_count():
     assert ids.tolist() == [[1, 0]]
 
 
-def test_numpy_chunking_invariant():
+def test_numpy_chunking_invariant(monkeypatch):
     # answers must not depend on the chunk boundary
     rng = np.random.default_rng(5)
     points = rng.normal(size=(50, 3))
-    queries = rng.normal(size=(33, 3))
-    whole_ids, whole_d2 = knn_topk(points, queries, 4)
-    old = _kernels._SCRATCH_ELEMS
-    _kernels._SCRATCH_ELEMS = 120  # forces ~2-row chunks
-    try:
-        small_ids, small_d2 = knn_topk(points, queries, 4)
-    finally:
-        _kernels._SCRATCH_ELEMS = old
-    assert np.array_equal(whole_ids, small_ids)
-    assert np.array_equal(whole_d2, small_d2)
+    for nq in (33, 70):  # neither is a multiple of either chunk size
+        queries = rng.normal(size=(nq, 3))
+        whole_ids, whole_d2 = knn_topk(points, queries, 4)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "_CHUNK_ROWS", 3)
+            small_ids, small_d2 = knn_topk(points, queries, 4)
+        assert np.array_equal(whole_ids, small_ids)
+        assert np.array_equal(whole_d2, small_d2)
 
 
 def test_eval_counter_accounting():

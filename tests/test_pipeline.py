@@ -115,8 +115,9 @@ def test_run_pipeline_report_fields_and_coverage():
         assert pred.labels.shape == (size,)
     records = report.records()
     assert len(records) == parts.num_scales
-    expected_keys = ["scale", "n_points", "encode_ms", "fuse_ms", "decode_ms",
-                     "cumulative_ms", "pipelined_ms", "distance_evals"]
+    expected_keys = ["scale", "n_points", "n_coarse", "arrival_ms",
+                     "encode_ms", "fuse_ms", "decode_ms", "cumulative_ms",
+                     "completion_ms", "pipelined_ms", "distance_evals"]
     for rec in records:
         assert list(rec.keys()) == expected_keys
     assert [r["n_points"] for r in records] == list(parts.sizes)
@@ -233,8 +234,21 @@ def test_run_pipeline_arrival_times():
     arrivals = [0.0, 5.0, 10.0, 15.0]
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              arrival_times=arrivals)
-    for rec in report.records():
+    records = report.records()
+    for rec in records:
         assert rec["pipelined_ms"] <= rec["cumulative_ms"] + 1e-9
+    # records carry arrival, completion and coarse-point counts
+    durations = [r["encode_ms"] + r["fuse_ms"] + r["decode_ms"] for r in records]
+    _, completion, _ = simulate_schedule(durations, arrivals)
+    assert [r["arrival_ms"] for r in records] == arrivals
+    assert [r["completion_ms"] for r in records] == completion
+    assert [r["n_coarse"] for r in records] == [s.n_coarse for s in report.scales]
+    assert all(r["n_coarse"] > 0 for r in records)
+    for line, rec in zip(report.record_lines(), records):
+        fields = dict(kv.split("=", 1) for kv in line.split())
+        assert fields["n_coarse"] == str(rec["n_coarse"])
+        assert float(fields["arrival_ms"]) == rec["arrival_ms"]
+        assert "completion_ms" in fields
     with pytest.raises(ValueError):
         run_pipeline(models, cloud, parts, pcfg, arrival_times=[0.0])
     with pytest.raises(ValueError):
