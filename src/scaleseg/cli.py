@@ -17,8 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from .backbone import BackboneConfig, ScaleModel, init_params
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .cloud import (CloudExtentError, PartitionConfig, PartitionSet,
-                    build_partitions, gather)
+from .cloud import (CloudExtentError, PartitionConfig, build_partitions,
+                    gather)
 from .config import ConfigError
 from .io import CloudFormatError, read_cloud, write_cloud
 from .pipeline import (
@@ -32,7 +32,6 @@ from .scene import SceneSpec, generate_scene
 from .training import (
     TrainConfig,
     evaluate,
-    metrics_record_lines,
     metrics_table_lines,
     train_scale,
 )
@@ -42,8 +41,6 @@ _MODEL_KEYS = ("feature_dim", "attention_neighbors", "encoder_stages",
                "downsample_factor", "interp_neighbors", "k_fuse")
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "momentum", "scenes")
 _KNOWN_KEYS = _SCENE_KEYS + _MODEL_KEYS + _TRAIN_KEYS + ("voxel_sizes", "seed")
-
-_DEFAULT_VOXELS = (0.16, 0.12, 0.08, 0.06)
 
 
 def _merge_config(args):
@@ -63,8 +60,17 @@ def _merge_config(args):
     return cfg
 
 
+def _checked(make, **kwargs):
+    """make(**kwargs); a value it rejects is a configuration error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _scene_spec(cfg, seed):
-    return SceneSpec(
+    return _checked(
+        SceneSpec,
         extents=cfgmod.as_float_list(cfg, "extents", (8.0, 8.0, 3.0)),
         num_objects=cfgmod.as_int(cfg, "objects", 8),
         num_classes=cfgmod.as_int(cfg, "classes", 13),
@@ -76,7 +82,8 @@ def _scene_spec(cfg, seed):
 
 
 def _backbone_config(cfg, num_classes):
-    return BackboneConfig(
+    return _checked(
+        BackboneConfig,
         num_classes=num_classes,
         feature_dim=cfgmod.as_int(cfg, "feature_dim", 32),
         attention_neighbors=cfgmod.as_int(cfg, "attention_neighbors", 8),
@@ -87,25 +94,24 @@ def _backbone_config(cfg, num_classes):
 
 
 def _pipeline_config(cfg, num_classes):
-    return PipelineConfig(backbone=_backbone_config(cfg, num_classes),
-                          k_fuse=cfgmod.as_int(cfg, "k_fuse", 8))
+    return _checked(PipelineConfig,
+                    backbone=_backbone_config(cfg, num_classes),
+                    k_fuse=cfgmod.as_int(cfg, "k_fuse", 8))
 
 
-def _voxel_sizes(cfg):
-    sizes = cfgmod.as_float_list(cfg, "voxel_sizes", _DEFAULT_VOXELS)
-    if not sizes or any(v <= 0 for v in sizes) or \
-            any(b >= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError(
-            f"voxel_sizes must be positive and strictly decreasing, "
-            f"got {','.join(str(v) for v in sizes)}")
-    return sizes
+def _partition_config(cfg):
+    return _checked(
+        PartitionConfig,
+        voxel_sizes=cfgmod.as_float_list(cfg, "voxel_sizes",
+                                         PartitionConfig.voxel_sizes),
+        rng_seed=_seed(cfg))
 
 
 def _seed(cfg):
     return cfgmod.as_int(cfg, "seed", 0)
 
 
-def _load_scenes(args, cfg, need_labels=True):
+def _load_scenes(args, cfg, part_cfg):
     """Labeled (cloud, parts) pairs from --in files or synthetic scenes."""
     seed = _seed(cfg)
     clouds = []
@@ -116,13 +122,14 @@ def _load_scenes(args, cfg, need_labels=True):
         count = cfgmod.as_int(cfg, "scenes", 2)
         for i in range(count):
             clouds.append(generate_scene(_scene_spec(cfg, seed + i)))
-    if need_labels and any(c.labels is None for c in clouds):
+    if any(c.labels is None for c in clouds):
         raise CloudFormatError("input cloud has no labels")
     classes = {c.num_classes for c in clouds}
     if len(classes) != 1:
         raise CloudFormatError(f"inputs disagree on class count: {sorted(classes)}")
-    pcfg = PartitionConfig(voxel_sizes=_voxel_sizes(cfg), rng_seed=seed)
-    return [(c, build_partitions(c, pcfg)) for c in clouds], classes.pop()
+    if min(classes) < 2:
+        raise CloudFormatError("input clouds need labels of at least 2 classes")
+    return [(c, build_partitions(c, part_cfg)) for c in clouds], classes.pop()
 
 
 def _model_path(models_dir, scale_id):
@@ -159,7 +166,11 @@ def _load_models(models_dir, num_scales):
         raise CheckpointFormatError(
             f"{models_dir}: checkpoints disagree on the model configuration")
     bcfg, k_fuse = cfgs[0]
-    return models, PipelineConfig(backbone=bcfg, k_fuse=int(k_fuse or 8))
+    try:
+        return models, PipelineConfig(backbone=bcfg, k_fuse=int(k_fuse or 8))
+    except ValueError as exc:
+        raise CheckpointFormatError(
+            f"{models_dir}: bad k_fuse in the checkpoints: {exc}") from None
 
 
 def _fresh_models(pcfg: PipelineConfig, num_scales, seed):
@@ -195,8 +206,7 @@ def cmd_generate(args):
 def cmd_partition(args):
     cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
-    parts = build_partitions(cloud, PartitionConfig(
-        voxel_sizes=_voxel_sizes(cfg), rng_seed=_seed(cfg)))
+    parts = build_partitions(cloud, _partition_config(cfg))
     records = [{"scale": i + 1, "voxel_size": v, "size": n}
                for i, (v, n) in enumerate(zip(parts.voxel_sizes, parts.sizes))]
     lines = format_records(records)
@@ -216,10 +226,12 @@ def cmd_train(args):
     cfg = _merge_config(args)
     if not args.baseline and args.scale is None:
         raise ConfigError("train requires --scale N or --baseline")
-    scenes, num_classes = _load_scenes(args, cfg)
+    part_cfg = _partition_config(cfg)
+    scenes, num_classes = _load_scenes(args, cfg, part_cfg)
     pcfg = _pipeline_config(cfg, num_classes)
     seed = _seed(cfg)
-    tcfg = TrainConfig(
+    tcfg = _checked(
+        TrainConfig,
         epochs=cfgmod.as_int(cfg, "epochs", 34),
         batch_size=cfgmod.as_int(cfg, "batch_size", 4),
         learning_rate=cfgmod.as_float(cfg, "learning_rate", 0.02),
@@ -228,16 +240,12 @@ def cmd_train(args):
     )
     os.makedirs(args.models, exist_ok=True)
     extras = {"k_fuse": pcfg.k_fuse,
-              "voxel_sizes": ",".join(repr(v) for v in _voxel_sizes(cfg))}
+              "voxel_sizes": ",".join(repr(v) for v in part_cfg.voxel_sizes)}
 
     if args.baseline:
         # whole-cloud reference: one "scale" holding the union of all
         # partitions, pooled from the finest voxel size
-        union_scenes = []
-        for cloud, parts in scenes:
-            union = np.sort(np.concatenate(parts.partitions))
-            union_scenes.append((cloud, PartitionSet(
-                (union,), cloud.n, (parts.voxel_sizes[-1],))))
+        union_scenes = [(c, p.union()) for c, p in scenes]
         model = ScaleModel(init_params(pcfg.backbone, seed=seed + 999))
         losses = train_scale([model], 1, union_scenes, pcfg, tcfg)
         path = _model_path(args.models, 0)
@@ -245,7 +253,7 @@ def cmd_train(args):
                         extras=dict(extras, role="baseline"))
     else:
         scale_id = args.scale
-        num_scales = len(_voxel_sizes(cfg))
+        num_scales = part_cfg.num_scales
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
         models = []
@@ -275,10 +283,9 @@ def cmd_train(args):
 def cmd_infer(args):
     cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
-    sizes = _voxel_sizes(cfg)
-    models, pcfg = _load_models(args.models, len(sizes))
-    parts = build_partitions(cloud, PartitionConfig(
-        voxel_sizes=sizes, rng_seed=_seed(cfg)))
+    part_cfg = _partition_config(cfg)
+    models, pcfg = _load_models(args.models, part_cfg.num_scales)
+    parts = build_partitions(cloud, part_cfg)
     arrivals = None
     if args.arrival_times:
         try:
@@ -314,9 +321,9 @@ def cmd_bench(args):
         cloud = read_cloud(args.infile)
     else:
         cloud = generate_scene(_scene_spec(cfg, seed))
-    sizes = _voxel_sizes(cfg)
+    part_cfg = _partition_config(cfg)
     if args.models:
-        models, pcfg = _load_models(args.models, len(sizes))
+        models, pcfg = _load_models(args.models, part_cfg.num_scales)
         baseline_params, bcfg, _, _ = _load_checked(args.models, 0)
         baseline = ScaleModel(baseline_params, frozen=True)
         if bcfg != pcfg.backbone:
@@ -325,10 +332,9 @@ def cmd_bench(args):
         num_classes = cloud.num_classes if cloud.num_classes >= 2 else \
             cfgmod.as_int(cfg, "classes", 13)
         pcfg = _pipeline_config(cfg, num_classes)
-        models = _fresh_models(pcfg, len(sizes), seed)
+        models = _fresh_models(pcfg, part_cfg.num_scales, seed)
         baseline = ScaleModel(init_params(pcfg.backbone, seed=seed + 999))
-    parts = build_partitions(cloud, PartitionConfig(voxel_sizes=sizes,
-                                                    rng_seed=seed))
+    parts = build_partitions(cloud, part_cfg)
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              threaded=args.threaded)
     base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg)
@@ -352,15 +358,16 @@ def cmd_bench(args):
 
 def cmd_eval(args):
     cfg = _merge_config(args)
-    scenes, num_classes = _load_scenes(args, cfg)
-    models, pcfg = _load_models(args.models, len(_voxel_sizes(cfg)))
+    part_cfg = _partition_config(cfg)
+    scenes, num_classes = _load_scenes(args, cfg, part_cfg)
+    models, pcfg = _load_models(args.models, part_cfg.num_scales)
     if pcfg.backbone.num_classes != num_classes:
         raise CloudFormatError(
             f"models expect {pcfg.backbone.num_classes} classes, "
             f"data has {num_classes}")
     rows, _ = evaluate(models, scenes, pcfg,
                        fusion_enabled=not args.no_fusion)
-    lines = metrics_record_lines(rows) + metrics_table_lines(rows)
+    lines = format_records(rows) + metrics_table_lines(rows)
     _emit(lines, args.out)
     return 0
 
@@ -377,8 +384,7 @@ def cmd_gain(args):
             raise ConfigError("--sizes: partition sizes must be positive")
     elif args.infile:
         cloud = read_cloud(args.infile)
-        parts = build_partitions(cloud, PartitionConfig(
-            voxel_sizes=_voxel_sizes(cfg), rng_seed=_seed(cfg)))
+        parts = build_partitions(cloud, _partition_config(cfg))
         sizes = [n for n in parts.sizes]
     else:
         raise ConfigError("gain requires --sizes or --in")

@@ -113,6 +113,16 @@ class PartitionSet:
     def sizes(self) -> tuple:
         return tuple(len(p) for p in self.partitions)
 
+    def union(self, upto=None) -> "PartitionSet":
+        """Partitions 1..upto (default: all) merged into one sorted
+        partition at the finest voxel size among them."""
+        upto = self.num_scales if upto is None else upto
+        if not 1 <= upto <= self.num_scales:
+            raise ValueError("upto_scale out of range")
+        merged = np.sort(np.concatenate(self.partitions[:upto]))
+        return PartitionSet((merged,), self.source_point_count,
+                            (min(self.voxel_sizes[:upto]),))
+
 
 def voxel_keys(cloud: PointCloud, voxel_size: float) -> np.ndarray:
     """Integer voxel coordinates floor(p / voxel_size), shape (N, 3)."""

@@ -184,27 +184,25 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # execution
 
-def _empty_prediction(num_classes):
-    return Prediction(np.zeros((0, num_classes), dtype=np.float64))
-
-
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
                failed, cfg: PipelineConfig, fusion_enabled, out_preds,
                out_timings):
     """Execute one scale; `ready[i]` is set once the store holds scale i.
 
-    A scale that fails or has no points still sets `ready[i]`, after
-    `ready[i - 1]`, so the store-ready chain stays in scale order and no
-    later scale waits forever. A failing scale sets `failed` first, so
-    every later scale sees it once its wait returns and stops before
-    fusing into a store that lacks the failed scale.
+    Sequential and threaded runs share this event chain; they differ only
+    in which thread calls each scale. A scale that fails or has no points
+    still sets `ready[i]`, after `ready[i - 1]`, so the store-ready chain
+    stays in scale order and no later scale waits forever. A failing
+    scale sets `failed` first, so every later scale sees it once its wait
+    returns and stops before fusing into a store that lacks the failed
+    scale.
     """
     try:
         backbone_cfg = cfg.backbone
         counter = EvalCounter()
         n = part_pos.shape[0]
         if n == 0:
-            out_preds[i] = _empty_prediction(backbone_cfg.num_classes)
+            out_preds[i] = Prediction(np.zeros((0, backbone_cfg.num_classes)))
             out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0)
             return
         t0 = time.perf_counter()
@@ -212,7 +210,7 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         fm, _ = encode(model, part_pos, part_feats, stages, scale_id=i + 1,
                        need_cache=False)
         t1 = time.perf_counter()
-        if ready is not None and i > 0:
+        if i > 0:
             ready[i - 1].wait()
             if failed.is_set():
                 return
@@ -224,8 +222,7 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
                             counter=counter, need_cache=False)
             fuse_ms = (time.perf_counter() - tf) * 1e3
         store.add_scale(fused)
-        if ready is not None:
-            ready[i].set()
+        ready[i].set()
         t2 = time.perf_counter()
         interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
         pred, _ = decode(model, fused, part_pos, backbone_cfg, interp,
@@ -235,11 +232,10 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
                                      (t3 - t2) * 1e3, counter.count)
     except Exception:
-        if failed is not None:
-            failed.set()
+        failed.set()
         raise
     finally:
-        if ready is not None and not ready[i].is_set():
+        if not ready[i].is_set():
             if i > 0:
                 ready[i - 1].wait()
             ready[i].set()
@@ -260,24 +256,25 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         raise ValueError("arrival time count does not match scale count")
 
     feats_all = cloud.xyzrgb()
-    scale_inputs = []
-    for i in range(s):
-        idx = parts.partitions[i]
-        scale_inputs.append((cloud.positions[idx], feats_all[idx]))
+    scale_inputs = [(cloud.positions[idx], feats_all[idx])
+                    for idx in parts.partitions]
 
     store = FeatureStore(cfg.backbone.feature_dim)
     preds = [None] * s
     timings = [None] * s
+    ready = [threading.Event() for _ in range(s)]
+    failed = threading.Event()
+
+    def run(i):
+        _run_scale(i, models[i], *scale_inputs[i], parts.voxel_sizes[i],
+                   store, ready, failed, cfg, fusion_enabled, preds, timings)
+
     if threaded:
-        ready = [threading.Event() for _ in range(s)]
-        failed = threading.Event()
         errors = [None] * s
 
         def work(i):
             try:
-                _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
-                           parts.voxel_sizes[i], store, ready, failed, cfg,
-                           fusion_enabled, preds, timings)
+                run(i)
             except Exception as exc:  # re-raised below, in the caller
                 errors[i] = exc
 
@@ -293,9 +290,7 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
                 raise exc
     else:
         for i in range(s):
-            _run_scale(i, models[i], scale_inputs[i][0], scale_inputs[i][1],
-                       parts.voxel_sizes[i], store, None, None, cfg,
-                       fusion_enabled, preds, timings)
+            run(i)
 
     report = TimingReport(timings).finalize(arrival_times)
     return preds, report
@@ -314,25 +309,14 @@ def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
                  cfg: PipelineConfig) -> BaselineResult:
     """Whole-cloud single pass over the union of partitions 1..upto_scale.
 
-    The union is processed with the finest merged voxel size as the
-    pooling base. No fusion is involved; this is the "wait for all
-    data" reference the scalable pipeline is compared against.
+    The baseline is a one-scale pipeline run: `model` runs once on
+    `parts.union(upto_scale)`, pooled from the finest merged voxel size,
+    through the same `run_pipeline` code as every scale. No fusion is
+    involved; this is the "wait for all data" reference the scalable
+    pipeline is compared against. wall_ms is that scale's encode plus
+    decode time.
     """
-    if not 1 <= upto_scale <= parts.num_scales:
-        raise ValueError("upto_scale out of range")
-    union = np.sort(np.concatenate(parts.partitions[:upto_scale]))
-    if union.size == 0:
-        return BaselineResult(_empty_prediction(cfg.backbone.num_classes),
-                              0, 0.0, 0, upto_scale)
-    pos = cloud.positions[union]
-    feats = cloud.xyzrgb()[union]
-    base_voxel = parts.voxel_sizes[upto_scale - 1]
-    counter = EvalCounter()
-    t0 = time.perf_counter()
-    stages = plan_stages(pos, base_voxel, cfg.backbone, counter)
-    fm, _ = encode(model, pos, feats, stages, need_cache=False)
-    interp = plan_interp(fm.positions, pos, cfg.backbone, counter)
-    pred, _ = decode(model, fm, pos, cfg.backbone, interp, need_cache=False)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return BaselineResult(pred, int(union.size), wall_ms, counter.count,
-                          upto_scale)
+    one = parts.union(upto_scale)
+    preds, report = run_pipeline([model], cloud, one, cfg)
+    return BaselineResult(preds[0], one.sizes[0], report.total_ms,
+                          report.total_distance_evals, upto_scale)

@@ -17,7 +17,7 @@ from .fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from .layers import softmax_cross_entropy
 from .metrics import ConfusionMatrix, compute_metrics
 from .pipeline import PipelineConfig, run_pipeline
-from .report import format_records, format_table
+from .report import format_table
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,6 @@ def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
                      "macc": macc, "miou": miou,
                      "cumulative_ms": float(cumulative[i] / len(scenes))})
     return rows, matrices
-
-
-def metrics_record_lines(rows):
-    return format_records(rows)
 
 
 def metrics_table_lines(rows):

@@ -55,6 +55,31 @@ def test_gain_rejects_garbage():
     assert run(["gain", "--sizes", "0,5"]) == 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--points", "0"], "num_points must be >= 1"),
+    (["train", "--scale", "1", "--epochs", "0"], "epochs must be >= 1"),
+    (["train", "--scale", "1", "--feature-dim", "0"], "feature_dim"),
+    (["train", "--scale", "1", "--k-fuse", "0"], "k_fuse must be >= 1"),
+], ids=["points", "epochs", "feature-dim", "k-fuse"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, argv, message):
+    if argv[0] == "generate":
+        argv = argv + ["--out", str(tmp_path / "s.rspc")]
+    else:
+        argv = argv + ["--models", str(tmp_path / "m"), "--scenes", "1",
+                       "--points", "300", "--voxel-sizes", "0.5"]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_single_class_input_is_input_error(tmp_path, capsys):
+    # an ascii cloud's class count is its largest label plus one
+    scene = tmp_path / "one.xyz"
+    scene.write_text("".join(f"{i * 0.1} 0 0 10 20 30 0\n" for i in range(50)))
+    assert run(["train", "--scale", "1", "--in", str(scene), "--models",
+                str(tmp_path / "m"), "--voxel-sizes", "0.5"]) == 2
+    assert "at least 2 classes" in capsys.readouterr().err
+
+
 def test_bad_voxel_sizes_is_config_error(tmp_path):
     scene = tmp_path / "s.rspc"
     run(["generate", "--points", "300", "--out", str(scene)])
@@ -181,6 +206,21 @@ def test_infer_checkpoint_missing_tensor(tmp_path, trained, capsys):
     assert run(["infer", "--in", str(scene), "--models", str(bad),
                 "--voxel-sizes", "0.5,0.35"]) == 2
     assert "fuse_cw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_fuse", ["abc", "0"])
+def test_infer_checkpoint_bad_k_fuse(tmp_path, trained, capsys, k_fuse):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    for name in ("scale_1.ckpt", "scale_2.ckpt"):
+        params, bcfg, frozen, extras = load_checkpoint(trained / name)
+        save_checkpoint(bad / name, params, bcfg, frozen=frozen,
+                        extras=dict(extras, k_fuse=k_fuse))
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5,0.35"]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_infer_non_utf8_checkpoint(tmp_path, trained, capsys):

@@ -81,6 +81,26 @@ def test_partitions_disjoint_and_voxel_unique():
             assert len(np.unique(packed)) == len(packed)
 
 
+def test_partition_union():
+    rng = np.random.default_rng(5)
+    cloud = random_cloud(rng, 1200)
+    parts = build_partitions(cloud, PartitionConfig(voxel_sizes=(0.8, 0.5, 0.3),
+                                                    rng_seed=2))
+    for upto, want in [(1, 0.8), (2, 0.5), (3, 0.3), (None, 0.3)]:
+        one = parts.union(upto)
+        merged = parts.partitions[:upto or parts.num_scales]
+        merged_ids = one.partitions[0]
+        assert one.num_scales == 1
+        assert np.all(np.diff(merged_ids) > 0)  # sorted, nothing repeated
+        assert len(merged_ids) == sum(len(p) for p in merged)
+        assert set(merged_ids.tolist()) == set(np.concatenate(merged).tolist())
+        assert one.voxel_sizes == (want,)
+        assert one.source_point_count == cloud.n
+    for upto in (0, parts.num_scales + 1):
+        with pytest.raises(ValueError, match="upto_scale out of range"):
+            parts.union(upto)
+
+
 def test_partitions_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(3)
     cloud = random_cloud(rng, 1500)

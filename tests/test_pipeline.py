@@ -274,6 +274,24 @@ def test_run_baseline_union():
     assert b1.n_points == parts.sizes[0]
 
 
+# (n_points, distance_evals, sha256 prefixes of labels and logits) of the
+# whole-cloud baseline over partitions 1..upto
+GOLDEN_BASELINE = [
+    (7, 1, (726, 686907, "f52f4a4c057c3cda", "7f16a6e980cc199b")),
+    (7, 4, (2495, 11832421, "a24c303ba147a209", "a14e6a17a4113106")),
+    (9, 2, (1814, 4268911, "7ae3e24f972bf3f8", "405a7315e88635f5")),
+]
+
+
+@pytest.mark.parametrize("seed,upto,expected", GOLDEN_BASELINE)
+def test_run_baseline_predictions_golden(seed, upto, expected):
+    cloud, parts, pcfg, models = make_setup(seed=seed)
+    base = run_baseline(models[-1], cloud, parts, upto, pcfg)
+    assert (base.n_points, base.distance_evals, _sha(base.prediction.labels),
+            _sha(base.prediction.logits)) == expected
+    assert base.upto_scale == upto
+
+
 def test_single_scale_pipeline_degenerate():
     cloud = generate_scene(SceneSpec(num_points=800, num_classes=4, rng_seed=8))
     parts = build_partitions(cloud, PartitionConfig(voxel_sizes=(0.3,),
