@@ -36,11 +36,28 @@ from .training import (
     train_scale,
 )
 
-_SCENE_KEYS = ("points", "classes", "objects", "extents", "noise", "walls")
-_MODEL_KEYS = ("feature_dim", "attention_neighbors", "encoder_stages",
-               "downsample_factor", "interp_neighbors", "k_fuse")
-_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "momentum", "scenes")
-_KNOWN_KEYS = _SCENE_KEYS + _MODEL_KEYS + _TRAIN_KEYS + ("voxel_sizes", "seed")
+# config key -> (config class, field, accessor); an absent key keeps the
+# field's default
+_CONFIG_FIELDS = {
+    "points": (SceneSpec, "num_points", cfgmod.as_int),
+    "classes": (SceneSpec, "num_classes", cfgmod.as_int),
+    "objects": (SceneSpec, "num_objects", cfgmod.as_int),
+    "extents": (SceneSpec, "extents", cfgmod.as_float_list),
+    "noise": (SceneSpec, "noise_sigma", cfgmod.as_float),
+    "walls": (SceneSpec, "include_walls", cfgmod.as_bool),
+    "feature_dim": (BackboneConfig, "feature_dim", cfgmod.as_int),
+    "attention_neighbors": (BackboneConfig, "attention_neighbors", cfgmod.as_int),
+    "encoder_stages": (BackboneConfig, "encoder_stages", cfgmod.as_int),
+    "downsample_factor": (BackboneConfig, "downsample_factor", cfgmod.as_float),
+    "interp_neighbors": (BackboneConfig, "interp_neighbors", cfgmod.as_int),
+    "k_fuse": (PipelineConfig, "k_fuse", cfgmod.as_int),
+    "voxel_sizes": (PartitionConfig, "voxel_sizes", cfgmod.as_float_list),
+    "epochs": (TrainConfig, "epochs", cfgmod.as_int),
+    "batch_size": (TrainConfig, "batch_size", cfgmod.as_int),
+    "learning_rate": (TrainConfig, "learning_rate", cfgmod.as_float),
+    "momentum": (TrainConfig, "momentum", cfgmod.as_float),
+}
+_KNOWN_KEYS = tuple(_CONFIG_FIELDS) + ("scenes", "seed")
 
 
 def _merge_config(args):
@@ -60,51 +77,29 @@ def _merge_config(args):
     return cfg
 
 
-def _checked(make, **kwargs):
-    """make(**kwargs); a value it rejects is a configuration error."""
+def _build(cls, cfg, **fixed):
+    """cls(**fixed) plus the fields of cls that cfg sets; a value cls
+    rejects is a configuration error."""
+    kwargs = {name: read(cfg, key, None)
+              for key, (owner, name, read) in _CONFIG_FIELDS.items()
+              if owner is cls and key in cfg}
     try:
-        return make(**kwargs)
+        return cls(**kwargs, **fixed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _scene_spec(cfg, seed):
-    return _checked(
-        SceneSpec,
-        extents=cfgmod.as_float_list(cfg, "extents", (8.0, 8.0, 3.0)),
-        num_objects=cfgmod.as_int(cfg, "objects", 8),
-        num_classes=cfgmod.as_int(cfg, "classes", 13),
-        num_points=cfgmod.as_int(cfg, "points", 100_000),
-        noise_sigma=cfgmod.as_float(cfg, "noise", 0.05),
-        rng_seed=seed,
-        include_walls=cfgmod.as_bool(cfg, "walls", True),
-    )
-
-
-def _backbone_config(cfg, num_classes):
-    return _checked(
-        BackboneConfig,
-        num_classes=num_classes,
-        feature_dim=cfgmod.as_int(cfg, "feature_dim", 32),
-        attention_neighbors=cfgmod.as_int(cfg, "attention_neighbors", 8),
-        encoder_stages=cfgmod.as_int(cfg, "encoder_stages", 2),
-        downsample_factor=cfgmod.as_float(cfg, "downsample_factor", 2.0),
-        interp_neighbors=cfgmod.as_int(cfg, "interp_neighbors", 3),
-    )
+    return _build(SceneSpec, cfg, rng_seed=seed)
 
 
 def _pipeline_config(cfg, num_classes):
-    return _checked(PipelineConfig,
-                    backbone=_backbone_config(cfg, num_classes),
-                    k_fuse=cfgmod.as_int(cfg, "k_fuse", 8))
+    return _build(PipelineConfig, cfg,
+                  backbone=_build(BackboneConfig, cfg, num_classes=num_classes))
 
 
 def _partition_config(cfg):
-    return _checked(
-        PartitionConfig,
-        voxel_sizes=cfgmod.as_float_list(cfg, "voxel_sizes",
-                                         PartitionConfig.voxel_sizes),
-        rng_seed=_seed(cfg))
+    return _build(PartitionConfig, cfg, rng_seed=_seed(cfg))
 
 
 def _seed(cfg):
@@ -137,46 +132,48 @@ def _model_path(models_dir, scale_id):
     return os.path.join(models_dir, name)
 
 
-def _load_checked(models_dir, scale_id):
-    """load_checkpoint, and require the tensor names and shapes of a fresh
-    model of the stored configuration; only scales >= 2 fuse (scale id 0
-    is the whole-cloud baseline)."""
-    path = _model_path(models_dir, scale_id)
-    params, bcfg, frozen, extras = load_checkpoint(path)
-    want = {k: v.shape for k, v in
-            init_params(bcfg, with_fusion=scale_id > 1).items()}
-    got = {k: v.shape for k, v in params.items()}
-    if got != want:
-        missing = sorted(want.keys() - got.keys())
-        unexpected = sorted(got.keys() - want.keys())
-        reshaped = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
-        raise CheckpointFormatError(
-            f"{path}: tensors do not match the stored configuration "
-            f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})")
-    return params, bcfg, frozen, extras
+def _load_models(models_dir, scale_ids, pcfg=None):
+    """(models, pcfg) from the checkpoints of the given scale ids.
 
-
-def _load_models(models_dir, num_scales):
-    models, cfgs = [], []
-    for i in range(1, num_scales + 1):
-        params, bcfg, frozen, extras = _load_checked(models_dir, i)
+    Each checkpoint must hold the tensor names and shapes of a fresh
+    model of its stored configuration; only scales >= 2 fuse (scale id 0
+    is the whole-cloud baseline). All of them, and pcfg when given, must
+    share one PipelineConfig; a checkpoint without k_fuse has the
+    default one.
+    """
+    models = []
+    for scale_id in scale_ids:
+        path = _model_path(models_dir, scale_id)
+        params, bcfg, frozen, extras = load_checkpoint(path)
+        want = {k: v.shape for k, v in
+                init_params(bcfg, with_fusion=scale_id > 1).items()}
+        got = {k: v.shape for k, v in params.items()}
+        if got != want:
+            missing = sorted(want.keys() - got.keys())
+            unexpected = sorted(got.keys() - want.keys())
+            reshaped = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+            raise CheckpointFormatError(
+                f"{path}: tensors do not match the stored configuration "
+                f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})")
+        try:
+            stored = PipelineConfig(
+                bcfg, int(extras.get("k_fuse", PipelineConfig.k_fuse)))
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"{models_dir}: bad k_fuse in the checkpoints: {exc}") from None
+        if pcfg is None:
+            pcfg = stored
+        elif stored != pcfg:
+            raise CheckpointFormatError(
+                f"{path}: model configuration {stored} does not match {pcfg}")
         models.append(ScaleModel(params, frozen))
-        cfgs.append((bcfg, extras.get("k_fuse")))
-    if len({c for c in cfgs}) != 1:
-        raise CheckpointFormatError(
-            f"{models_dir}: checkpoints disagree on the model configuration")
-    bcfg, k_fuse = cfgs[0]
-    try:
-        return models, PipelineConfig(backbone=bcfg, k_fuse=int(k_fuse or 8))
-    except ValueError as exc:
-        raise CheckpointFormatError(
-            f"{models_dir}: bad k_fuse in the checkpoints: {exc}") from None
+    return models, pcfg
 
 
-def _fresh_models(pcfg: PipelineConfig, num_scales, seed):
-    return [ScaleModel(init_params(pcfg.backbone, seed=seed + i,
-                                   with_fusion=(i > 0)))
-            for i in range(num_scales)]
+def _fresh_model(pcfg: PipelineConfig, scale_id, seed):
+    """Untrained model of a scale id; 0 is the whole-cloud baseline."""
+    return ScaleModel(init_params(pcfg.backbone, seed=seed + (scale_id or 999),
+                                  with_fusion=scale_id > 1))
 
 
 def _emit(lines, out_path):
@@ -230,14 +227,7 @@ def cmd_train(args):
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
     pcfg = _pipeline_config(cfg, num_classes)
     seed = _seed(cfg)
-    tcfg = _checked(
-        TrainConfig,
-        epochs=cfgmod.as_int(cfg, "epochs", 34),
-        batch_size=cfgmod.as_int(cfg, "batch_size", 4),
-        learning_rate=cfgmod.as_float(cfg, "learning_rate", 0.02),
-        momentum=cfgmod.as_float(cfg, "momentum", 0.9),
-        rng_seed=seed,
-    )
+    tcfg = _build(TrainConfig, cfg, rng_seed=seed)
     os.makedirs(args.models, exist_ok=True)
     extras = {"k_fuse": pcfg.k_fuse,
               "voxel_sizes": ",".join(repr(v) for v in part_cfg.voxel_sizes)}
@@ -246,7 +236,7 @@ def cmd_train(args):
         # whole-cloud reference: one "scale" holding the union of all
         # partitions, pooled from the finest voxel size
         union_scenes = [(c, p.union()) for c, p in scenes]
-        model = ScaleModel(init_params(pcfg.backbone, seed=seed + 999))
+        model = _fresh_model(pcfg, 0, seed)
         losses = train_scale([model], 1, union_scenes, pcfg, tcfg)
         path = _model_path(args.models, 0)
         save_checkpoint(path, model.params, pcfg.backbone, frozen=True,
@@ -256,18 +246,12 @@ def cmd_train(args):
         num_scales = part_cfg.num_scales
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
-        models = []
-        for j in range(1, scale_id):
-            params, bcfg, frozen, _ = _load_checked(args.models, j)
-            if bcfg != pcfg.backbone:
-                raise CheckpointFormatError(
-                    f"scale {j} checkpoint configuration does not match")
-            if not frozen:
+        models, _ = _load_models(args.models, range(1, scale_id), pcfg)
+        for j, model in enumerate(models, start=1):
+            if not model.frozen:
                 raise CheckpointFormatError(
                     f"scale {j} checkpoint is not frozen; train scales in order")
-            models.append(ScaleModel(params, frozen=True))
-        trainee = ScaleModel(init_params(pcfg.backbone, seed=seed + scale_id,
-                                         with_fusion=(scale_id > 1)))
+        trainee = _fresh_model(pcfg, scale_id, seed)
         models.append(trainee)
         losses = train_scale(models, scale_id, scenes, pcfg, tcfg)
         path = _model_path(args.models, scale_id)
@@ -284,7 +268,8 @@ def cmd_infer(args):
     cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
     part_cfg = _partition_config(cfg)
-    models, pcfg = _load_models(args.models, part_cfg.num_scales)
+    models, pcfg = _load_models(args.models,
+                                range(1, part_cfg.num_scales + 1))
     parts = build_partitions(cloud, part_cfg)
     arrivals = None
     if args.arrival_times:
@@ -322,18 +307,16 @@ def cmd_bench(args):
     else:
         cloud = generate_scene(_scene_spec(cfg, seed))
     part_cfg = _partition_config(cfg)
+    scale_ids = range(1, part_cfg.num_scales + 1)
     if args.models:
-        models, pcfg = _load_models(args.models, part_cfg.num_scales)
-        baseline_params, bcfg, _, _ = _load_checked(args.models, 0)
-        baseline = ScaleModel(baseline_params, frozen=True)
-        if bcfg != pcfg.backbone:
-            raise CheckpointFormatError("baseline checkpoint configuration differs")
+        models, pcfg = _load_models(args.models, scale_ids)
+        [baseline], _ = _load_models(args.models, [0], pcfg)
     else:
         num_classes = cloud.num_classes if cloud.num_classes >= 2 else \
-            cfgmod.as_int(cfg, "classes", 13)
+            _scene_spec(cfg, seed).num_classes
         pcfg = _pipeline_config(cfg, num_classes)
-        models = _fresh_models(pcfg, part_cfg.num_scales, seed)
-        baseline = ScaleModel(init_params(pcfg.backbone, seed=seed + 999))
+        models = [_fresh_model(pcfg, i, seed) for i in scale_ids]
+        baseline = _fresh_model(pcfg, 0, seed)
     parts = build_partitions(cloud, part_cfg)
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              threaded=args.threaded)
@@ -360,7 +343,8 @@ def cmd_eval(args):
     cfg = _merge_config(args)
     part_cfg = _partition_config(cfg)
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
-    models, pcfg = _load_models(args.models, part_cfg.num_scales)
+    models, pcfg = _load_models(args.models,
+                                range(1, part_cfg.num_scales + 1))
     if pcfg.backbone.num_classes != num_classes:
         raise CloudFormatError(
             f"models expect {pcfg.backbone.num_classes} classes, "
@@ -496,10 +480,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except (CloudFormatError, CloudExtentError, CheckpointFormatError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:

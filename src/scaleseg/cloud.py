@@ -145,8 +145,35 @@ def pack_voxel_keys(keys: np.ndarray) -> np.ndarray:
     """Pack (N, 3) integer voxel coords into one int64 per point."""
     if not _keys_in_range(keys):
         raise ValueError("voxel grid coordinates exceed the supported +/-2^20 range")
+    return _pack(keys)
+
+
+def _pack(keys):
     k = keys + _KEY_BOUND
     return (k[:, 0] << 42) | (k[:, 1] << 21) | k[:, 2]
+
+
+def voxel_groups(positions, voxel_size):
+    """Points grouped by voxel: (order, starts, group_keys).
+
+    order sorts the points by packed voxel key and, inside a voxel, by
+    (x, y, z), so the grouping is independent of input point order (up
+    to duplicate coordinates). Group g holds the points
+    order[starts[g]:starts[g + 1]] and has packed key group_keys[g].
+    Raises CloudExtentError when a point lies 2^20 or more voxels from
+    the origin.
+    """
+    keys = _voxel_keys_raw(positions, voxel_size)
+    if not _keys_in_range(keys):
+        raise CloudExtentError(
+            f"cloud extends beyond the supported +/-2^20 voxels from the "
+            f"origin at voxel size {voxel_size:g} m (voxel coordinates "
+            f"{keys.min()}..{keys.max()})")
+    packed = _pack(keys)
+    order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0], packed))
+    sorted_keys = packed[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    return order, starts, sorted_keys[starts]
 
 
 def _mix_seed(rng_seed: int, scale_index: int) -> int:
@@ -188,21 +215,9 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
         if pool.size == 0:
             partitions.append(np.empty(0, dtype=np.int64))
             continue
-        pool_pos = cloud.positions[pool]
-        keys = _voxel_keys_raw(pool_pos, vsize)
-        if not _keys_in_range(keys):
-            raise CloudExtentError(
-                f"cloud extends beyond the supported +/-2^20 voxels from the "
-                f"origin at voxel size {vsize:g} m (voxel coordinates "
-                f"{keys.min()}..{keys.max()})")
-        packed = pack_voxel_keys(keys)
-        # canonical (x, y, z) order inside each voxel makes the pick
-        # independent of input point order (up to duplicate coordinates)
-        order = np.lexsort((pool_pos[:, 2], pool_pos[:, 1], pool_pos[:, 0], packed))
-        sorted_keys = packed[order]
-        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        sizes = np.diff(np.r_[starts, sorted_keys.size])
-        u = _hash_unit(sorted_keys[starts], _mix_seed(cfg.rng_seed, i))
+        order, starts, group_keys = voxel_groups(cloud.positions[pool], vsize)
+        sizes = np.diff(np.r_[starts, order.size])
+        u = _hash_unit(group_keys, _mix_seed(cfg.rng_seed, i))
         offsets = np.minimum((u * sizes).astype(np.int64), sizes - 1)
         chosen = pool[order[starts + offsets]]
         partitions.append(np.sort(chosen))

@@ -39,10 +39,6 @@ class FeatureStore:
     def size(self):
         return sum(e[1].shape[0] for e in self._entries)
 
-    @property
-    def scale_ids(self):
-        return tuple(e[0] for e in self._entries)
-
     def add_scale(self, fm: FeatureMatrix):
         """Append one finished scale; scale ids must strictly increase."""
         if self._entries and fm.scale_id <= self._entries[-1][0]:
@@ -63,12 +59,6 @@ class FeatureStore:
             raise ValueError("feature store is empty")
         return (np.concatenate([e[1] for e in self._entries], axis=0),
                 np.concatenate([e[2] for e in self._entries], axis=0))
-
-    def row_scale_ids(self):
-        if not self._entries:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(
-            [np.full(e[1].shape[0], e[0], dtype=np.int64) for e in self._entries])
 
 
 def _store_neighbors(store_positions, positions, k_fuse, counter):

@@ -11,7 +11,7 @@ Array shape comments use N = points, k = neighbors, F = feature width.
 
 import numpy as np
 
-from .cloud import _voxel_keys_raw, pack_voxel_keys
+from .cloud import voxel_groups
 
 # Query block size for attention/fusion forwards; without a cache it
 # keeps the transient (B, k, F) tensors small on big clouds. Blocking
@@ -173,15 +173,11 @@ def attention_bwd(g, cache, p, prefix):
 def grid_pool_groups(positions, voxel_size):
     """Parameter-free half of grid pooling: (pooled_pos, order, starts, counts).
 
-    Output rows are ordered by packed voxel key, and group members are
-    taken in coordinate-sorted order, so the result is independent of
-    input point order.
+    Output rows and group members follow cloud.voxel_groups, so the
+    result is independent of input point order.
     """
-    packed = pack_voxel_keys(_voxel_keys_raw(positions, voxel_size))
-    order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0], packed))
-    sk = packed[order]
-    starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    counts = np.diff(np.r_[starts, sk.size]).astype(np.float64)
+    order, starts, _ = voxel_groups(positions, voxel_size)
+    counts = np.diff(np.r_[starts, order.size]).astype(np.float64)
     pooled_pos = np.add.reduceat(positions[order], starts, axis=0) / counts[:, None]
     return pooled_pos, order, starts, counts
 

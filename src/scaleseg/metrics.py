@@ -46,12 +46,6 @@ class ConfusionMatrix:
             raise ValueError("predicted label out of range")
         np.add.at(self._m, (t, p), 1)
 
-    def merge(self, other):
-        """Sum of two matrices as a new ConfusionMatrix; neither operand changes."""
-        if other.num_classes != self.num_classes:
-            raise ValueError("cannot merge matrices of different sizes")
-        return ConfusionMatrix(self.num_classes, self._m + other._m)
-
 
 def per_class_accuracy(cm: ConfusionMatrix):
     """diag / row sum; NaN for classes with no ground-truth points."""

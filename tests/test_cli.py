@@ -1,9 +1,12 @@
 """End-to-end command-line tests; everything runs in-process via main()."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from scaleseg import cli
+from scaleseg.backbone import init_params
 from scaleseg.checkpoint import load_checkpoint, save_checkpoint
 from scaleseg.io import read_cloud
 
@@ -107,6 +110,23 @@ def test_cloud_beyond_voxel_key_range_is_input_error(tmp_path, capsys):
     assert "voxel size 0.16" in err and "2^20" in err
 
 
+def test_bench_baseline_beyond_voxel_key_range_is_input_error(tmp_path, capsys):
+    # every point is in range at 0.16 m, where scale 1 claims them all,
+    # but the baseline's second encoder stage pools at 2 * 0.06 m
+    scene = tmp_path / "far.xyz"
+    scene.write_text("0 0 0 0 0 0\n0.5 0 0 0 0 0\n150000 0 0 10 10 10\n")
+    assert run(["partition", "--in", str(scene)]) == 0
+    capsys.readouterr()
+    assert run(["bench", "--in", str(scene), "--classes", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "voxel size 0.12" in err and "2^20" in err
+
+
+def test_config_table_names_existing_fields():
+    for key, (cls, name, _) in cli._CONFIG_FIELDS.items():
+        assert name in {f.name for f in dataclasses.fields(cls)}, key
+
+
 def test_flag_overrides_config_file(tmp_path):
     scene = tmp_path / "s.rspc"
     cfgfile = tmp_path / "run.cfg"
@@ -158,6 +178,41 @@ def test_train_scale_out_of_order(tmp_path):
     assert run(["train", "--scale", "2", "--models", str(tmp_path / "m"),
                 "--scenes", "1", "--points", "600", "--epochs", "1"]
                + FAST) == 2
+
+
+def test_train_refuses_lower_scale_of_other_config(tmp_path, trained, capsys):
+    # scale 1 was trained with the default k_fuse
+    models = tmp_path / "m"
+    models.mkdir()
+    (models / "scale_1.ckpt").write_bytes((trained / "scale_1.ckpt").read_bytes())
+    assert run(["train", "--scale", "2", "--k-fuse", "4", "--models", str(models),
+                "--scenes", "1", "--points", "1500", "--classes", "4",
+                "--epochs", "1", "--seed", "1"] + FAST) == 2
+    assert "scale_1.ckpt" in capsys.readouterr().err
+    assert not (models / "scale_2.ckpt").exists()
+
+
+def test_bench_with_trained_models(trained, capsys):
+    assert run(["bench", "--models", str(trained), "--points", "1500",
+                "--classes", "4", "--seed", "1",
+                "--voxel-sizes", "0.5,0.35"]) == 0
+    out = capsys.readouterr().out
+    assert "baseline n_points=" in out
+    assert "measured_ratio=" in out
+
+
+def test_bench_baseline_of_other_config(tmp_path, trained, capsys):
+    models = tmp_path / "m"
+    models.mkdir()
+    for name in ("scale_1.ckpt", "scale_2.ckpt"):
+        (models / name).write_bytes((trained / name).read_bytes())
+    _, bcfg, frozen, extras = load_checkpoint(trained / "baseline.ckpt")
+    other = dataclasses.replace(bcfg, feature_dim=bcfg.feature_dim + 4)
+    save_checkpoint(models / "baseline.ckpt", init_params(other), other,
+                    frozen=frozen, extras=extras)
+    assert run(["bench", "--models", str(models), "--points", "1500",
+                "--classes", "4", "--voxel-sizes", "0.5,0.35"]) == 2
+    assert "baseline.ckpt" in capsys.readouterr().err
 
 
 def test_infer_round_trip(tmp_path, trained, capsys):

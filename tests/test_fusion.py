@@ -32,8 +32,6 @@ def test_store_orders_scales_and_checks_width():
     store = make_store(rng, 3, [4, 6])
     assert store.num_scales == 2
     assert store.size == 10
-    assert store.scale_ids == (1, 2)
-    assert store.row_scale_ids().tolist() == [1] * 4 + [2] * 6
     pos, feat = store.merged()
     assert pos.shape == (10, 3) and feat.shape == (10, 3)
     with pytest.raises(ValueError):

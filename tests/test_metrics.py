@@ -49,16 +49,6 @@ def test_update_validates_and_accumulates():
     assert cm.total == 2
 
 
-def test_merge():
-    a = ConfusionMatrix(2)
-    a.update(np.array([0, 1]), np.array([0, 1]))
-    b = ConfusionMatrix(2)
-    b.update(np.array([1, 1]), np.array([0, 1]))
-    m = a.merge(b)
-    assert m.counts.tolist() == [[1, 0], [1, 2]]
-    assert a.counts.tolist() == [[1, 0], [0, 1]]  # merge does not mutate
-
-
 def test_empty_matrix_rejected():
     with pytest.raises(ValueError):
         compute_metrics(ConfusionMatrix(3))
