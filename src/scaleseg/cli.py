@@ -3,12 +3,15 @@
 Subcommands: generate, partition, train, infer, bench, eval, gain.
 Global flags (per subcommand): --config <key=value file>, --seed, --out.
 Flag values override config-file values, which override defaults.
+Each record prints as one JSON object per line whose first key,
+`record`, names its kind; the aligned tables are for humans.
 
 Exit codes: 0 success, 2 bad input or file, 3 configuration error,
 4 internal invariant violation.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -26,15 +29,10 @@ from .pipeline import (
     estimate_gain,
     run_baseline,
     run_pipeline,
+    simulate_schedule,
 )
-from .report import format_records
 from .scene import SceneSpec, generate_scene
-from .training import (
-    TrainConfig,
-    evaluate,
-    metrics_table_lines,
-    train_scale,
-)
+from .training import TrainConfig, evaluate, train_scale
 
 # config key -> (config class, field, accessor); an absent key keeps the
 # field's default
@@ -166,7 +164,10 @@ def _load_models(models_dir, scale_ids, pcfg=None):
         elif stored != pcfg:
             raise CheckpointFormatError(
                 f"{path}: model configuration {stored} does not match {pcfg}")
-        models.append(ScaleModel(params, frozen))
+        try:
+            models.append(ScaleModel(params, frozen))
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: {exc}") from None
     return models, pcfg
 
 
@@ -174,6 +175,42 @@ def _fresh_model(pcfg: PipelineConfig, scale_id, seed):
     """Untrained model of a scale id; 0 is the whole-cloud baseline."""
     return ScaleModel(init_params(pcfg.backbone, seed=seed + (scale_id or 999),
                                   with_fusion=scale_id > 1))
+
+
+def _record(kind, **fields):
+    """One machine-readable output line: a JSON object led by its kind."""
+    return json.dumps({"record": kind, **fields})
+
+
+def _gain_record(est):
+    return _record("gain", sizes=list(est.sizes), whole_cost=est.whole_cost,
+                   scalable_cost=est.scalable_cost, gain=est.gain,
+                   reduction_ratio=est.reduction_ratio)
+
+
+def _table(headers, rows):
+    """Aligned plain-text table for humans; floats keep 6 significant
+    digits."""
+    cells = [[f"{c:.6g}" if isinstance(c, float) else str(c) for c in row]
+             for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return lines
+
+
+def _scale_lines(report):
+    """One scale record per scale, then the scale table."""
+    headers = ["Scale", "Points", "Coarse", "Encode(ms)", "Fuse(ms)",
+               "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)", "Evals"]
+    rows = [[s.scale, s.n_points, s.n_coarse, s.encode_ms, s.fuse_ms,
+             s.decode_ms, s.cumulative_ms, s.pipelined_ms, s.distance_evals]
+            for s in report.scales]
+    return ([_record("scale", **rec) for rec in report.records()]
+            + _table(headers, rows))
 
 
 def _emit(lines, out_path):
@@ -204,17 +241,13 @@ def cmd_partition(args):
     cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
     parts = build_partitions(cloud, _partition_config(cfg))
-    records = [{"scale": i + 1, "voxel_size": v, "size": n}
-               for i, (v, n) in enumerate(zip(parts.voxel_sizes, parts.sizes))]
-    lines = format_records(records)
+    lines = [_record("partition", scale=i + 1, voxel_size=v, size=n)
+             for i, (v, n) in enumerate(zip(parts.voxel_sizes, parts.sizes))]
     selected = sum(parts.sizes)
-    lines.append(f"total={cloud.n} selected={selected} "
-                 f"unselected={cloud.n - selected}")
+    lines.append(_record("selection", total=cloud.n, selected=selected,
+                         unselected=cloud.n - selected))
     if all(n > 0 for n in parts.sizes):
-        est = estimate_gain(parts.sizes)
-        lines.append(f"whole_cost={est.whole_cost} "
-                     f"scalable_cost={est.scalable_cost} gain={est.gain} "
-                     f"reduction_ratio={est.reduction_ratio:.6f}")
+        lines.append(_gain_record(estimate_gain(parts.sizes)))
     _emit(lines, args.out)
     return 0
 
@@ -246,6 +279,10 @@ def cmd_train(args):
         num_scales = part_cfg.num_scales
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
+        if all(p.sizes[scale_id - 1] == 0 for _, p in scenes):
+            raise CloudFormatError(
+                f"no input has points at scale {scale_id} (voxel size "
+                f"{part_cfg.voxel_sizes[scale_id - 1]})")
         models, _ = _load_models(args.models, range(1, scale_id), pcfg)
         for j, model in enumerate(models, start=1):
             if not model.frozen:
@@ -259,7 +296,7 @@ def cmd_train(args):
                         extras=dict(extras, role="scale", scale_id=scale_id))
 
     for e, loss in enumerate(losses, start=1):
-        print(f"epoch={e} loss={loss:.6f}")
+        print(_record("epoch", epoch=e, loss=loss))
     print(f"saved {path}")
     return 0
 
@@ -268,24 +305,22 @@ def cmd_infer(args):
     cfg = _merge_config(args)
     cloud = read_cloud(args.infile)
     part_cfg = _partition_config(cfg)
-    models, pcfg = _load_models(args.models,
-                                range(1, part_cfg.num_scales + 1))
-    parts = build_partitions(cloud, part_cfg)
     arrivals = None
     if args.arrival_times:
         try:
             arrivals = [float(t) for t in args.arrival_times.split(",")]
-        except ValueError:
+            simulate_schedule([0.0] * part_cfg.num_scales, arrivals)
+        except ValueError as exc:
             raise ConfigError(
-                f"--arrival-times: expected numbers, got {args.arrival_times!r}"
-            ) from None
+                f"--arrival-times {args.arrival_times!r}: {exc}") from None
+    models, pcfg = _load_models(args.models,
+                                range(1, part_cfg.num_scales + 1))
+    parts = build_partitions(cloud, part_cfg)
     preds, report = run_pipeline(models, cloud, parts, pcfg,
                                  arrival_times=arrivals,
                                  threaded=args.threaded,
                                  fusion_enabled=not args.no_fusion)
-    for line in report.record_lines():
-        print(line)
-    for line in report.table_lines():
+    for line in _scale_lines(report):
         print(line)
     if args.out:
         idx = np.concatenate(parts.partitions)
@@ -321,20 +356,19 @@ def cmd_bench(args):
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              threaded=args.threaded)
     base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg)
-    lines = report.record_lines()
-    lines += report.table_lines()
-    lines.append(f"baseline n_points={base.n_points} wall_ms={base.wall_ms:.3f} "
-                 f"distance_evals={base.distance_evals}")
+    lines = _scale_lines(report)
+    lines.append(_record("baseline", n_points=base.n_points,
+                         wall_ms=base.wall_ms,
+                         distance_evals=base.distance_evals))
     scalable_evals = report.total_distance_evals
-    lines.append(f"scalable total_ms={report.total_ms:.3f} "
-                 f"distance_evals={scalable_evals}")
+    lines.append(_record("scalable", total_ms=report.total_ms,
+                         distance_evals=scalable_evals))
     if all(n > 0 for n in parts.sizes):
         est = estimate_gain(parts.sizes)
-        measured = scalable_evals / base.distance_evals
-        lines.append(f"whole_cost={est.whole_cost} "
-                     f"scalable_cost={est.scalable_cost} gain={est.gain}")
-        lines.append(f"predicted_ratio={est.reduction_ratio:.6f} "
-                     f"measured_ratio={measured:.6f}")
+        lines.append(_gain_record(est))
+        lines.append(_record(
+            "ratio", predicted_ratio=est.reduction_ratio,
+            measured_ratio=scalable_evals / base.distance_evals))
     _emit(lines, args.out)
     return 0
 
@@ -351,7 +385,12 @@ def cmd_eval(args):
             f"data has {num_classes}")
     rows, _ = evaluate(models, scenes, pcfg,
                        fusion_enabled=not args.no_fusion)
-    lines = format_records(rows) + metrics_table_lines(rows)
+    headers = ["Scale", "Method", "oAcc", "mAcc", "mIoU", "Time(ms)"]
+    table_rows = [[r["scale"], r["method"], f"{r['oacc']:.4f}",
+                   f"{r['macc']:.4f}", f"{r['miou']:.4f}",
+                   f"{r['cumulative_ms']:.1f}"] for r in rows]
+    lines = ([_record("metrics", **row) for row in rows]
+             + _table(headers, table_rows))
     _emit(lines, args.out)
     return 0
 
@@ -372,11 +411,7 @@ def cmd_gain(args):
         sizes = [n for n in parts.sizes]
     else:
         raise ConfigError("gain requires --sizes or --in")
-    est = estimate_gain(sizes)
-    _emit([f"sizes={','.join(str(s) for s in est.sizes)} "
-           f"whole_cost={est.whole_cost} scalable_cost={est.scalable_cost} "
-           f"gain={est.gain} reduction_ratio={est.reduction_ratio:.6f}"],
-          args.out)
+    _emit([_gain_record(estimate_gain(sizes))], args.out)
     return 0
 
 

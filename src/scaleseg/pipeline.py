@@ -21,7 +21,6 @@ from .backbone import (BackboneConfig, Prediction, decode, encode, plan_interp,
 from .cloud import PartitionSet, PointCloud
 from .fusion import FeatureStore, fuse
 from .knn import EvalCounter
-from .report import format_records, format_table
 
 
 @dataclass(frozen=True)
@@ -168,17 +167,6 @@ class TimingReport:
                  "completion_ms": s.completion_ms,
                  "pipelined_ms": s.pipelined_ms,
                  "distance_evals": s.distance_evals} for s in self.scales]
-
-    def record_lines(self):
-        return format_records(self.records())
-
-    def table_lines(self):
-        headers = ["Scale", "Points", "Coarse", "Encode(ms)", "Fuse(ms)",
-                   "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)", "Evals"]
-        rows = [[s.scale, s.n_points, s.n_coarse, s.encode_ms, s.fuse_ms,
-                 s.decode_ms, s.cumulative_ms, s.pipelined_ms, s.distance_evals]
-                for s in self.scales]
-        return format_table(headers, rows)
 
 
 # ---------------------------------------------------------------------------

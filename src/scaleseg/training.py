@@ -17,7 +17,6 @@ from .fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from .layers import softmax_cross_entropy
 from .metrics import ConfusionMatrix, compute_metrics
 from .pipeline import PipelineConfig, run_pipeline
-from .report import format_table
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,3 @@ def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
                      "macc": macc, "miou": miou,
                      "cumulative_ms": float(cumulative[i] / len(scenes))})
     return rows, matrices
-
-
-def metrics_table_lines(rows):
-    headers = ["Scale", "Method", "oAcc", "mAcc", "mIoU", "Time(ms)"]
-    table_rows = [[r["scale"], r["method"], f"{r['oacc']:.4f}",
-                   f"{r['macc']:.4f}", f"{r['miou']:.4f}",
-                   f"{r['cumulative_ms']:.1f}"] for r in rows]
-    return format_table(headers, table_rows)

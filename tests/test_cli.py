@@ -1,6 +1,7 @@
 """End-to-end command-line tests; everything runs in-process via main()."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,20 @@ def run(argv):
     return cli.main(argv)
 
 
+def _records(out):
+    """The JSON records of an output text, each checked to lead with its
+    kind."""
+    records = [json.loads(line) for line in out.splitlines()
+               if line.startswith("{")]
+    for rec in records:
+        assert next(iter(rec)) == "record", rec
+    return records
+
+
+def _of_kind(out, kind):
+    return [r for r in _records(out) if r["record"] == kind]
+
+
 def test_generate_and_partition(tmp_path, capsys):
     scene = tmp_path / "scene.rspc"
     assert run(["generate", "--points", "1500", "--seed", "3",
@@ -26,8 +41,15 @@ def test_generate_and_partition(tmp_path, capsys):
     assert run(["partition", "--in", str(scene),
                 "--voxel-sizes", "0.5,0.35"]) == 0
     out = capsys.readouterr().out
-    assert "scale=1 voxel_size=0.5" in out
-    assert "whole_cost=" in out
+    partitions = _of_kind(out, "partition")
+    assert [(r["scale"], r["voxel_size"]) for r in partitions] == [
+        (1, 0.5), (2, 0.35)]
+    [selection] = _of_kind(out, "selection")
+    assert selection["total"] == 1500
+    assert selection["selected"] == sum(r["size"] for r in partitions)
+    [gain] = _of_kind(out, "gain")
+    assert gain["sizes"] == [r["size"] for r in partitions]
+    assert gain["whole_cost"] == sum(gain["sizes"]) ** 2
 
 
 def test_generate_requires_out():
@@ -44,9 +66,10 @@ def test_generate_ascii_format(tmp_path):
 def test_gain_oracle_line(capsys):
     assert run(["gain", "--sizes", "1000,2000,3000,4000"]) == 0
     out = capsys.readouterr().out
-    assert "whole_cost=100000000" in out
-    assert "scalable_cost=30000000" in out
-    assert "gain=70000000" in out
+    assert _records(out) == [{
+        "record": "gain", "sizes": [1000, 2000, 3000, 4000],
+        "whole_cost": 100000000, "scalable_cost": 30000000,
+        "gain": 70000000, "reduction_ratio": 0.3}]
 
 
 def test_gain_requires_input():
@@ -180,6 +203,17 @@ def test_train_scale_out_of_order(tmp_path):
                + FAST) == 2
 
 
+def test_train_scale_without_points_is_input_error(tmp_path, capsys):
+    # at 1 mm scale 1 takes every point, so scale 2 has none to train on
+    common = ["--scenes", "1", "--points", "300", "--epochs", "1",
+              "--voxel-sizes", "0.001,0.0005", "--models", str(tmp_path / "m")]
+    assert run(["train", "--scale", "1"] + common) == 0
+    capsys.readouterr()
+    assert run(["train", "--scale", "2"] + common) == 2
+    err = capsys.readouterr().err
+    assert "scale 2" in err and "0.0005" in err
+
+
 def test_train_refuses_lower_scale_of_other_config(tmp_path, trained, capsys):
     # scale 1 was trained with the default k_fuse
     models = tmp_path / "m"
@@ -197,8 +231,10 @@ def test_bench_with_trained_models(trained, capsys):
                 "--classes", "4", "--seed", "1",
                 "--voxel-sizes", "0.5,0.35"]) == 0
     out = capsys.readouterr().out
-    assert "baseline n_points=" in out
-    assert "measured_ratio=" in out
+    [base] = _of_kind(out, "baseline")
+    assert base["n_points"] > 0
+    [ratio] = _of_kind(out, "ratio")
+    assert ratio["measured_ratio"] > 0
 
 
 def test_bench_baseline_of_other_config(tmp_path, trained, capsys):
@@ -224,17 +260,32 @@ def test_infer_round_trip(tmp_path, trained, capsys):
                 "--voxel-sizes", "0.5,0.35", "--arrival-times", "0,5",
                 "--out", str(pred_path)]) == 0
     out = capsys.readouterr().out
-    assert "scale=1" in out and "pipelined_ms=" in out
+    scales = _of_kind(out, "scale")
+    assert [r["scale"] for r in scales] == [1, 2]
+    assert [r["arrival_ms"] for r in scales] == [0.0, 5.0]
+    for rec in scales:
+        assert rec["n_coarse"] > 0
+        assert rec["pipelined_ms"] <= rec["cumulative_ms"] + 1e-9
+        assert rec["completion_ms"] >= rec["arrival_ms"]
+    assert "Pipelined(ms)" in out
     labeled = read_cloud(pred_path)
     assert labeled.labels is not None
     assert labeled.labels.max() < 4
 
 
-def test_infer_bad_arrivals(tmp_path, trained):
+def test_infer_bad_arrivals(tmp_path, trained, monkeypatch):
     scene = tmp_path / "t.rspc"
     run(["generate", "--points", "500", "--classes", "4", "--out", str(scene)])
-    assert run(["infer", "--in", str(scene), "--models", str(trained),
-                "--voxel-sizes", "0.5,0.35", "--arrival-times", "0,x"]) == 3
+
+    def no_load(*args):
+        raise AssertionError("models loaded before the arrivals were checked")
+
+    # garbage, wrong count, decreasing, negative; none may reach the models
+    monkeypatch.setattr(cli, "_load_models", no_load)
+    for arrivals in ["0,x", "0,1,2", "5,1", "-1,1"]:
+        assert run(["infer", "--in", str(scene), "--models", str(trained),
+                    "--voxel-sizes", "0.5,0.35",
+                    f"--arrival-times={arrivals}"]) == 3, arrivals
 
 
 def test_infer_corrupt_checkpoint(tmp_path):
@@ -278,6 +329,22 @@ def test_infer_checkpoint_bad_k_fuse(tmp_path, trained, capsys, k_fuse):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_infer_non_finite_checkpoint(tmp_path, trained, capsys):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    (bad / "scale_2.ckpt").write_bytes((trained / "scale_2.ckpt").read_bytes())
+    params, bcfg, frozen, extras = load_checkpoint(trained / "scale_1.ckpt")
+    params["att0_ab1"][0] = np.nan
+    save_checkpoint(bad / "scale_1.ckpt", params, bcfg, frozen=frozen,
+                    extras=extras)
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5,0.35"]) == 2
+    err = capsys.readouterr().err
+    assert "scale_1.ckpt" in err and "att0_ab1" in err
+
+
 def test_infer_non_utf8_checkpoint(tmp_path, trained, capsys):
     scene = tmp_path / "t.rspc"
     run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
@@ -297,21 +364,29 @@ def test_eval_reports_metrics(trained, capsys):
                 "--points", "1500", "--classes", "4", "--seed", "1",
                 "--voxel-sizes", "0.5,0.35"]) == 0
     out = capsys.readouterr().out
-    assert "method=fusion" in out
-    assert "miou=" in out
+    rows = _of_kind(out, "metrics")
+    assert [(r["scale"], r["method"]) for r in rows] == [(1, "fusion"),
+                                                         (2, "fusion")]
+    assert all(0.0 <= r["miou"] <= 1.0 for r in rows)
+    assert "mIoU" in out
     assert run(["eval", "--models", str(trained), "--scenes", "1",
                 "--points", "1500", "--classes", "4", "--seed", "1",
                 "--voxel-sizes", "0.5,0.35", "--no-fusion"]) == 0
-    assert "method=no-fusion" in capsys.readouterr().out
+    rows = _of_kind(capsys.readouterr().out, "metrics")
+    assert {r["method"] for r in rows} == {"no-fusion"}
 
 
 def test_bench_reports_ratios(capsys):
     assert run(["bench", "--points", "1500", "--classes", "5", "--seed", "2"]
                + ["--voxel-sizes", "0.5,0.35"]) == 0
     out = capsys.readouterr().out
-    assert "baseline" in out
-    assert "predicted_ratio=" in out
-    assert "measured_ratio=" in out
+    [base] = _of_kind(out, "baseline")
+    [scalable] = _of_kind(out, "scalable")
+    [gain] = _of_kind(out, "gain")
+    [ratio] = _of_kind(out, "ratio")
+    assert ratio["predicted_ratio"] == gain["reduction_ratio"]
+    assert ratio["measured_ratio"] == (scalable["distance_evals"]
+                                       / base["distance_evals"])
 
 
 def test_internal_error_maps_to_4(monkeypatch):
@@ -325,4 +400,18 @@ def test_internal_error_maps_to_4(monkeypatch):
 def test_output_file_writing(tmp_path):
     out = tmp_path / "gain.txt"
     assert run(["gain", "--sizes", "2,3", "--out", str(out)]) == 0
-    assert "gain=12" in out.read_text()
+    [rec] = _records(out.read_text())
+    assert rec["gain"] == 12
+
+
+def test_format_table_alignment():
+    lines = cli._table(["A", "Blong"], [[1, 2.0], [333, 4]])
+    assert lines[0] == "A    Blong"
+    assert lines[1] == "---  -----"
+    assert lines[2] == "1    2"
+    assert lines[3] == "333  4"
+
+
+def test_format_table_empty_rows():
+    lines = cli._table(["X"], [])
+    assert lines == ["X", "-"]

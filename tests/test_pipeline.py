@@ -244,11 +244,6 @@ def test_run_pipeline_arrival_times():
     assert [r["completion_ms"] for r in records] == completion
     assert [r["n_coarse"] for r in records] == [s.n_coarse for s in report.scales]
     assert all(r["n_coarse"] > 0 for r in records)
-    for line, rec in zip(report.record_lines(), records):
-        fields = dict(kv.split("=", 1) for kv in line.split())
-        assert fields["n_coarse"] == str(rec["n_coarse"])
-        assert float(fields["arrival_ms"]) == rec["arrival_ms"]
-        assert "completion_ms" in fields
     with pytest.raises(ValueError):
         run_pipeline(models, cloud, parts, pcfg, arrival_times=[0.0])
     with pytest.raises(ValueError):
