@@ -57,13 +57,12 @@ class BackboneConfig:
     encoder_stages: int = 2
     downsample_factor: float = 2.0
     interp_neighbors: int = 3
-    in_dim: int = 6
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.feature_dim < 1 or self.in_dim < 1:
-            raise ValueError("feature_dim and in_dim must be >= 1")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         if self.encoder_stages < 1:
             raise ValueError("encoder_stages must be >= 1")
         if self.attention_neighbors < 1 or self.interp_neighbors < 1:
@@ -108,9 +107,9 @@ class Prediction:
 class ScaleModel:
     """Named parameter tensors for one scale, with a freeze latch.
 
-    Frozen models refuse in-place parameter updates and report no
-    gradients; freezing is one-way (lower scales never thaw while later
-    ones train).
+    Frozen models refuse in-place parameter updates; freezing is one-way
+    (lower scales never thaw while later ones train, and only run
+    forward).
     """
 
     def __init__(self, params, frozen=False):
@@ -142,6 +141,10 @@ def _attention_param_shapes(f):
     }
 
 
+# Input feature width: xyz followed by rgb, as PointCloud.xyzrgb() gives.
+XYZRGB_WIDTH = 6
+
+
 def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False):
     """Fresh parameter dict, name -> float64 array, fan-in scaled."""
     rng = np.random.default_rng(seed)
@@ -154,7 +157,7 @@ def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False):
         return rng.standard_normal(shape) * np.sqrt(1.0 / shape[0])
 
     p = {
-        "embed_w1": he((cfg.in_dim, f)), "embed_b1": np.zeros(f),
+        "embed_w1": he((XYZRGB_WIDTH, f)), "embed_b1": np.zeros(f),
         "embed_w2": he((f, f)), "embed_b2": np.zeros(f),
     }
     for t in range(cfg.encoder_stages):
@@ -224,7 +227,7 @@ def plan_interp(src_positions, positions, cfg, counter=None):
 def encode(model, positions, feats_in, stages, scale_id=1, need_cache=True):
     """Partition points -> FeatureMatrix at the coarsest stage.
 
-    positions (N, 3), feats_in (N, in_dim), N >= 1. stages:
+    positions (N, 3), feats_in (N, 6) xyzrgb, N >= 1. stages:
     plan_stages(positions, ...), one StagePlan per encoder stage.
     """
     n = positions.shape[0]
@@ -256,9 +259,7 @@ def encode(model, positions, feats_in, stages, scale_id=1, need_cache=True):
 
 
 def encode_bwd(g, cache, model):
-    """Gradient of encode wrt parameters; empty dict when frozen."""
-    if model.frozen:
-        return {}
+    """Gradient of encode wrt parameters."""
     ec, ac, stages = cache
     p = model.params
     grads = {}
@@ -308,7 +309,7 @@ def decode(model, fused: FeatureMatrix, positions, cfg, interp, need_cache=True)
 
 
 def decode_bwd(g, cache, model):
-    """Returns (dfused_features, grads); grads empty when frozen."""
+    """Returns (dfused_features, grads)."""
     ic, lcaches, hc = cache
     p = model.params
     grads = {}
@@ -321,7 +322,4 @@ def decode_bwd(g, cache, model):
         dcur, dw, db = linear_bwd(dz, lc)
         grads[f"dec{t}_w"] = dw
         grads[f"dec{t}_b"] = db
-    dfused = interp_apply_bwd(dcur, ic)
-    if model.frozen:
-        return dfused, {}
-    return dfused, grads
+    return interp_apply_bwd(dcur, ic), grads

@@ -5,11 +5,14 @@ Layout (little-endian):
   | u32 tensor_count | per tensor: u16 name_len, name utf-8, u8 ndim,
   u64 dims..., raw float64 data (C order).
 
-meta is a key=value block (one pair per line) holding the backbone
-configuration plus caller extras. Floats are written with repr so the
-round trip is value-exact; tensor data round-trips bit-exactly.
+meta is a key=value block (one pair per line) holding every
+BackboneConfig field plus caller extras; loading returns any other key,
+such as the input width that older files stored, as an extra. Floats
+are written with repr so the round trip is value-exact; tensor data
+round-trips bit-exactly.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -19,10 +22,6 @@ from .backbone import BackboneConfig
 _MAGIC = b"SSCP"
 _VERSION = 1
 
-_CFG_FIELDS = ("num_classes", "feature_dim", "attention_neighbors",
-               "encoder_stages", "downsample_factor", "interp_neighbors",
-               "in_dim")
-
 
 class CheckpointFormatError(ValueError):
     """Malformed checkpoint file."""
@@ -30,7 +29,8 @@ class CheckpointFormatError(ValueError):
 
 def save_checkpoint(path, params, cfg: BackboneConfig, frozen=False, extras=None):
     """Write named float64 tensors plus config; names stored sorted."""
-    meta = {f: repr(getattr(cfg, f)) for f in _CFG_FIELDS}
+    meta = {f.name: repr(getattr(cfg, f.name))
+            for f in dataclasses.fields(BackboneConfig)}
     for key, value in (extras or {}).items():
         if key in meta:
             raise ValueError(f"extra key {key!r} collides with a config field")
@@ -92,15 +92,8 @@ def load_checkpoint(path):
         key, _, value = line.partition("=")
         meta[key] = value
     try:
-        cfg = BackboneConfig(
-            num_classes=int(meta.pop("num_classes")),
-            feature_dim=int(meta.pop("feature_dim")),
-            attention_neighbors=int(meta.pop("attention_neighbors")),
-            encoder_stages=int(meta.pop("encoder_stages")),
-            downsample_factor=float(meta.pop("downsample_factor")),
-            interp_neighbors=int(meta.pop("interp_neighbors")),
-            in_dim=int(meta.pop("in_dim")),
-        )
+        cfg = BackboneConfig(**{f.name: f.type(meta.pop(f.name))
+                                for f in dataclasses.fields(BackboneConfig)})
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad config block: {exc}") from None
     (count,) = r.unpack("<I")

@@ -125,6 +125,14 @@ def _load_scenes(args, cfg, part_cfg):
     return [(c, build_partitions(c, part_cfg)) for c in clouds], classes.pop()
 
 
+def _require_points(scenes, part_cfg, scale_id):
+    """A scale that no input scene has points at is an input error."""
+    if all(p.sizes[scale_id - 1] == 0 for _, p in scenes):
+        raise CloudFormatError(
+            f"no input has points at scale {scale_id} (voxel size "
+            f"{part_cfg.voxel_sizes[scale_id - 1]})")
+
+
 def _model_path(models_dir, scale_id):
     name = "baseline.ckpt" if scale_id == 0 else f"scale_{scale_id}.ckpt"
     return os.path.join(models_dir, name)
@@ -178,8 +186,9 @@ def _fresh_model(pcfg: PipelineConfig, scale_id, seed):
 
 
 def _record(kind, **fields):
-    """One machine-readable output line: a JSON object led by its kind."""
-    return json.dumps({"record": kind, **fields})
+    """One machine-readable output line: a strict-JSON object led by its
+    kind."""
+    return json.dumps({"record": kind, **fields}, allow_nan=False)
 
 
 def _gain_record(est):
@@ -279,10 +288,7 @@ def cmd_train(args):
         num_scales = part_cfg.num_scales
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
-        if all(p.sizes[scale_id - 1] == 0 for _, p in scenes):
-            raise CloudFormatError(
-                f"no input has points at scale {scale_id} (voxel size "
-                f"{part_cfg.voxel_sizes[scale_id - 1]})")
+        _require_points(scenes, part_cfg, scale_id)
         models, _ = _load_models(args.models, range(1, scale_id), pcfg)
         for j, model in enumerate(models, start=1):
             if not model.frozen:
@@ -295,9 +301,10 @@ def cmd_train(args):
         save_checkpoint(path, trainee.params, pcfg.backbone, frozen=True,
                         extras=dict(extras, role="scale", scale_id=scale_id))
 
-    for e, loss in enumerate(losses, start=1):
-        print(_record("epoch", epoch=e, loss=loss))
-    print(f"saved {path}")
+    lines = [_record("epoch", epoch=e, loss=loss)
+             for e, loss in enumerate(losses, start=1)]
+    lines.append(f"saved {path}")
+    _emit(lines, args.out)
     return 0
 
 
@@ -377,8 +384,10 @@ def cmd_eval(args):
     cfg = _merge_config(args)
     part_cfg = _partition_config(cfg)
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
-    models, pcfg = _load_models(args.models,
-                                range(1, part_cfg.num_scales + 1))
+    scale_ids = range(1, part_cfg.num_scales + 1)
+    for scale_id in scale_ids:
+        _require_points(scenes, part_cfg, scale_id)
+    models, pcfg = _load_models(args.models, scale_ids)
     if pcfg.backbone.num_classes != num_classes:
         raise CloudFormatError(
             f"models expect {pcfg.backbone.num_classes} classes, "

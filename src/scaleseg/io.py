@@ -82,21 +82,14 @@ def _write_ascii(cloud, path, has_labels):
             fh.write(line + "\n")
 
 
-def read_cloud(path, fmt=None, num_classes=None) -> PointCloud:
-    """Read a cloud; binary files are recognized by their magic bytes.
-
-    num_classes overrides/supplies the class count for ASCII files
-    (defaults to max label + 1 when labels are present).
-    """
+def read_cloud(path) -> PointCloud:
+    """Read a cloud; a file that starts with the magic bytes is binary,
+    any other is ASCII, whose class count is its max label + 1."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if fmt is None:
-        fmt = "binary" if blob[:4] == _MAGIC else "ascii"
-    elif fmt not in ("binary", "ascii"):
-        raise CloudFormatError(f"unknown format {fmt!r}")
-    if fmt == "binary":
+    if blob[:4] == _MAGIC:
         return _read_binary(blob, path)
-    return _read_ascii(blob, path, num_classes)
+    return _read_ascii(blob, path)
 
 
 def _make_cloud(path, **fields):
@@ -110,9 +103,7 @@ def _make_cloud(path, **fields):
 def _read_binary(blob, path):
     if len(blob) < _HEADER.size:
         raise CloudFormatError(f"{path}: truncated header")
-    magic, version, count, has_labels, num_classes = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise CloudFormatError(f"{path}: bad magic {magic!r}")
+    _, version, count, has_labels, num_classes = _HEADER.unpack_from(blob)
     if version != _VERSION:
         raise CloudFormatError(f"{path}: unsupported version {version}")
     if has_labels not in (0, 1):
@@ -137,7 +128,7 @@ def _read_binary(blob, path):
                        labels=labels, num_classes=num_classes)
 
 
-def _read_ascii(blob, path, num_classes):
+def _read_ascii(blob, path):
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -168,15 +159,11 @@ def _read_ascii(blob, path, num_classes):
     col = np.asarray(rgb, dtype=np.int64).reshape(-1, 3)
     if col.size and (col.min() < 0 or col.max() > 255):
         raise CloudFormatError(f"{path}: color component outside [0, 255]")
-    lab = None
+    lab, num_classes = None, 0
     if width == 7:
         lab = np.asarray(labels, dtype=np.int64)
-        if lab.size and lab.min() < 0:
+        if lab.min() < 0:
             raise CloudFormatError(f"{path}: negative label")
-        if num_classes is None:
-            num_classes = int(lab.max()) + 1 if lab.size else 0
-        if lab.size and lab.max() >= num_classes:
-            raise CloudFormatError(
-                f"{path}: label {lab.max()} >= num_classes {num_classes}")
+        num_classes = int(lab.max()) + 1
     return _make_cloud(path, positions=pos, colors=col.astype(np.float64) / 255.0,
-                       labels=lab, num_classes=num_classes or 0)
+                       labels=lab, num_classes=num_classes)

@@ -13,9 +13,10 @@ import numpy as np
 
 from .cloud import voxel_groups
 
-# Query block size for attention/fusion forwards; without a cache it
-# keeps the transient (B, k, F) tensors small on big clouds. Blocking
-# changes no per-row arithmetic.
+# Query block size for attention/fusion forwards that keep no cache: it
+# keeps the transient (B, k, F) tensors small on big clouds. A caching
+# forward keeps those tensors for every row anyway, so it runs in one
+# pass. Blocking changes no per-row arithmetic.
 _BLOCK = 8192
 
 
@@ -83,26 +84,11 @@ def scatter_rows(grad_neighbors, idx, n_rows):
     return out
 
 
-def _join_blocks(blocks):
-    """Row-concatenate the caches of consecutive query blocks.
-
-    Caches are nested tuples; arrays that every block shares (parameter
-    matrices) pass through, per-row arrays are stacked. One block is
-    returned as it is, without a copy.
-    """
-    first = blocks[0]
-    if isinstance(first, tuple):
-        return tuple(_join_blocks(list(parts)) for parts in zip(*blocks))
-    if all(b is first for b in blocks):
-        return first
-    return np.concatenate(blocks, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # vector attention over KNN neighborhoods
 
 def _attn_rows(positions, idx, q, kmat, v, sl, p, prefix):
-    """Attention math for query rows sl; returns per-block tensors."""
+    """Attention math for query rows sl; returns (out, row cache)."""
     nb = idx[sl]
     kn = kmat[nb]  # (B, k, F)
     vn = v[nb]
@@ -129,16 +115,15 @@ def attention_fwd(positions, feats, idx, p, prefix, need_cache=True):
     q = feats @ p[prefix + "_wq"]  # (N, F)
     kmat = feats @ p[prefix + "_wk"]
     v = feats @ p[prefix + "_wv"]
+    if need_cache:
+        out, rows_cache = _attn_rows(positions, idx, q, kmat, v, slice(None),
+                                     p, prefix)
+        return out, (feats, idx) + rows_cache
     out = np.empty((n, q.shape[1]), dtype=np.float64)
-    blocks = []
     for s in range(0, n, _BLOCK):
         sl = slice(s, min(s + _BLOCK, n))
-        out[sl], block_cache = _attn_rows(positions, idx, q, kmat, v, sl, p, prefix)
-        if need_cache:
-            blocks.append(block_cache)
-    if not need_cache:
-        return out, None
-    return out, (feats, idx) + _join_blocks(blocks)
+        out[sl], _ = _attn_rows(positions, idx, q, kmat, v, sl, p, prefix)
+    return out, None
 
 
 def attention_bwd(g, cache, p, prefix):

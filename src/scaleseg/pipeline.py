@@ -10,6 +10,7 @@ and the store contents seen by scale i are exactly scales 1..i-1 under
 either schedule.
 """
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -92,16 +93,16 @@ def simulate_schedule(durations_ms, arrivals_ms=None):
     d = [float(x) for x in durations_ms]
     if not d:
         raise ValueError("need at least one scale duration")
-    if any(x < 0 for x in d):
-        raise ValueError("durations must be >= 0")
+    if not all(math.isfinite(x) and x >= 0 for x in d):
+        raise ValueError("durations must be finite and >= 0")
     if arrivals_ms is None:
         a = [0.0] * len(d)
     else:
         a = [float(x) for x in arrivals_ms]
         if len(a) != len(d):
             raise ValueError("arrival count does not match scale count")
-        if any(x < 0 for x in a):
-            raise ValueError("arrival times must be >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in a):
+            raise ValueError("arrival times must be finite and >= 0")
         if any(y < x for x, y in zip(a, a[1:])):
             raise ValueError("arrival times must be non-decreasing")
     cumulative, completion, induced = [], [], []

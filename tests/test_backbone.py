@@ -137,7 +137,6 @@ def test_frozen_model_contract():
     assert encode_bwd(g, cache, model)  # trainable: non-empty grads
     model.freeze()
     assert model.frozen
-    assert encode_bwd(g, cache, model) == {}
     with pytest.raises(ValueError):
         model.apply_update({"head_b": np.zeros_like(model.params["head_b"])})
 

@@ -32,6 +32,18 @@ def test_round_trip(tmp_path):
         assert loaded[k].dtype == np.float64
 
 
+def test_old_in_dim_line_is_an_extra(tmp_path):
+    # older files stored the input width, always 6, as a config field
+    c = cfg()
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c, extras={"in_dim": 6})
+    assert b"\nin_dim=6\n" in path.read_bytes()
+    _, lc, _, extras = load_checkpoint(path)
+    assert lc == c
+    assert extras == {"in_dim": "6"}
+    assert not hasattr(lc, "in_dim")
+
+
 def test_canonical_bytes(tmp_path):
     c = cfg()
     params = init_params(c, seed=2)

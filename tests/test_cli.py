@@ -18,11 +18,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _records(out):
-    """The JSON records of an output text, each checked to lead with its
-    kind."""
-    records = [json.loads(line) for line in out.splitlines()
-               if line.startswith("{")]
+    """The JSON records of an output text, each checked to be strict JSON
+    and to lead with its kind."""
+    records = [json.loads(line, parse_constant=_no_constant)
+               for line in out.splitlines() if line.startswith("{")]
     for rec in records:
         assert next(iter(rec)) == "record", rec
     return records
@@ -214,6 +218,17 @@ def test_train_scale_without_points_is_input_error(tmp_path, capsys):
     assert "scale 2" in err and "0.0005" in err
 
 
+def test_train_out_writes_records_to_file(tmp_path, capsys):
+    out = tmp_path / "train.txt"
+    assert run(["train", "--scale", "1", "--models", str(tmp_path / "m"),
+                "--scenes", "1", "--points", "300", "--epochs", "2",
+                "--out", str(out)] + FAST) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert [r["epoch"] for r in _of_kind(text, "epoch")] == [1, 2]
+    assert text.splitlines()[-1] == f"saved {tmp_path / 'm' / 'scale_1.ckpt'}"
+
+
 def test_train_refuses_lower_scale_of_other_config(tmp_path, trained, capsys):
     # scale 1 was trained with the default k_fuse
     models = tmp_path / "m"
@@ -280,9 +295,10 @@ def test_infer_bad_arrivals(tmp_path, trained, monkeypatch):
     def no_load(*args):
         raise AssertionError("models loaded before the arrivals were checked")
 
-    # garbage, wrong count, decreasing, negative; none may reach the models
+    # garbage, wrong count, decreasing, negative, non-finite; none may
+    # reach the models
     monkeypatch.setattr(cli, "_load_models", no_load)
-    for arrivals in ["0,x", "0,1,2", "5,1", "-1,1"]:
+    for arrivals in ["0,x", "0,1,2", "5,1", "-1,1", "nan,1", "0,inf"]:
         assert run(["infer", "--in", str(scene), "--models", str(trained),
                     "--voxel-sizes", "0.5,0.35",
                     f"--arrival-times={arrivals}"]) == 3, arrivals
@@ -374,6 +390,20 @@ def test_eval_reports_metrics(trained, capsys):
                 "--voxel-sizes", "0.5,0.35", "--no-fusion"]) == 0
     rows = _of_kind(capsys.readouterr().out, "metrics")
     assert {r["method"] for r in rows} == {"no-fusion"}
+
+
+def test_eval_scale_without_points_is_input_error(tmp_path, trained, capsys,
+                                                 monkeypatch):
+    # at 1 mm scale 1 takes every point, so scale 2 has none to score
+    def no_load(*args):
+        raise AssertionError("models loaded before the scales were checked")
+
+    monkeypatch.setattr(cli, "_load_models", no_load)
+    assert run(["eval", "--models", str(trained), "--scenes", "1",
+                "--points", "300", "--classes", "4",
+                "--voxel-sizes", "0.001,0.0005"]) == 2
+    err = capsys.readouterr().err
+    assert "scale 2" in err and "0.0005" in err
 
 
 def test_bench_reports_ratios(capsys):

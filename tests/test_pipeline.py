@@ -105,6 +105,11 @@ def test_schedule_validation():
         simulate_schedule([1.0, 1.0], [5.0, 2.0])  # decreasing arrivals
     with pytest.raises(ValueError):
         simulate_schedule([1.0], [0.0, 1.0])  # length mismatch
+    nan, inf = float("nan"), float("inf")
+    for durations, arrivals in [([1.0, 1.0], [nan, 1.0]), ([1.0, 1.0], [0.0, inf]),
+                                ([nan, 1.0], None), ([1.0, inf], [0.0, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            simulate_schedule(durations, arrivals)
 
 
 def test_run_pipeline_report_fields_and_coverage():
