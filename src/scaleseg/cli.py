@@ -426,6 +426,10 @@ def cmd_gain(args):
 
 # ---------------------------------------------------------------------------
 
+THREADED_HELP = ("run the scales on one worker thread per core, lowest scale "
+                 "first; predictions are identical to a sequential run")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value configuration file")
@@ -481,7 +485,7 @@ def build_parser():
     i.add_argument("--voxel-sizes", dest="voxel_sizes")
     i.add_argument("--arrival-times",
                    help="per-scale arrival times in ms, e.g. 0,15,50")
-    i.add_argument("--threaded", action="store_true")
+    i.add_argument("--threaded", action="store_true", help=THREADED_HELP)
     i.add_argument("--no-fusion", action="store_true")
     i.set_defaults(fn=cmd_infer)
 
@@ -492,7 +496,7 @@ def build_parser():
     b.add_argument("--voxel-sizes", dest="voxel_sizes")
     b.add_argument("--points")
     b.add_argument("--classes")
-    b.add_argument("--threaded", action="store_true")
+    b.add_argument("--threaded", action="store_true", help=THREADED_HELP)
     b.set_defaults(fn=cmd_bench)
 
     e = sub.add_parser("eval", parents=[common],
@@ -529,6 +533,10 @@ def main(argv=None):
         return 2
     except (ValueError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 4
+    except (KeyError, IndexError) as exc:  # a bare lookup error names no cause
+        print(f"internal invariant violation: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 4
 
 

@@ -84,12 +84,19 @@ def _write_ascii(cloud, path, has_labels):
 
 def read_cloud(path) -> PointCloud:
     """Read a cloud; a file that starts with the magic bytes is binary,
-    any other is ASCII, whose class count is its max label + 1."""
+    any other is ASCII, whose class count is its max label + 1. An ASCII
+    error also names the magic the file lacks, since a binary file with
+    damaged magic bytes lands there too."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] == _MAGIC:
         return _read_binary(blob, path)
-    return _read_ascii(blob, path)
+    try:
+        return _read_ascii(blob, path)
+    except CloudFormatError as exc:
+        raise CloudFormatError(
+            f"{exc} (read as ASCII: the file starts with {blob[:4]!r}, "
+            f"not the binary magic {_MAGIC!r})") from None
 
 
 def _make_cloud(path, **fields):

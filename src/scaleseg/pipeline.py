@@ -4,13 +4,21 @@ complexity accounting that motivates partitioned processing.
 Scale 1 runs encode -> decode; every later scale runs encode ->
 fuse(store) -> extend store -> decode. The store extension happens
 before decode so the next scale's fusion can overlap the current
-scale's decoder when threaded. Predictions are bit-identical whether
-scales run sequentially or on threads: all stages are pure functions
-and the store contents seen by scale i are exactly scales 1..i-1 under
-either schedule.
+scale's decoder when threaded.
+
+A threaded run starts one worker per core, at most one per scale. Each
+worker takes the lowest scale not yet started, runs it, and takes the
+next, so scale 1 never shares the cores with more scales than there
+are cores and its labels come at close to sequential speed. On one
+core this is the sequential order. It cannot deadlock: a scale waits
+only on the scale before it, which was taken earlier and so is running
+or done. Predictions are bit-identical under any schedule: all stages
+are pure functions and the store contents seen by scale i are exactly
+scales 1..i-1.
 """
 
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -173,6 +181,14 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # execution
 
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
                failed, cfg: PipelineConfig, fusion_enabled, out_preds,
                out_timings):
@@ -237,6 +253,17 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
 
     arrival_times (ms, non-decreasing, one per scale) only affect the
     reported pipelined bounds, never the computation itself.
+
+    threaded=True runs the scales on min(num_scales, cores) worker
+    threads. Each worker takes the lowest scale not yet started and runs
+    it to the end; once any scale has failed, no worker takes another.
+    The lowest failed scale's error is raised here. This cannot
+    deadlock: scales are taken in order, so when scale i waits for
+    scale i-1's store entry, scale i-1 has already been taken and is
+    running or done on another worker (or earlier on this one). With
+    one worker the run is the sequential order. The store that scale i
+    fuses with is exactly scales 1..i-1 under any worker count, so the
+    predictions are bit-identical to a sequential run.
     """
     s = parts.num_scales
     if len(models) != s:
@@ -260,15 +287,22 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
 
     if threaded:
         errors = [None] * s
+        pending = iter(range(s))
+        take = threading.Lock()
 
-        def work(i):
-            try:
-                run(i)
-            except Exception as exc:  # re-raised below, in the caller
-                errors[i] = exc
+        def work():
+            while not failed.is_set():
+                with take:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    run(i)
+                except Exception as exc:  # re-raised below, in the caller
+                    errors[i] = exc
 
-        workers = [threading.Thread(target=work, args=(i,), name=f"scale-{i + 1}")
-                   for i in range(s)]
+        workers = [threading.Thread(target=work, name=f"scaleseg-worker-{k + 1}")
+                   for k in range(min(s, _cores()))]
         for w in workers:
             w.start()
         for w in workers:

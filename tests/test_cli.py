@@ -427,6 +427,18 @@ def test_internal_error_maps_to_4(monkeypatch):
     assert run(["gain", "--sizes", "2,3"]) == 4
 
 
+@pytest.mark.parametrize("error", [KeyError("att0_wq"), IndexError("scale 5")])
+def test_lookup_error_maps_to_4(monkeypatch, capsys, error):
+    def boom(sizes):
+        raise error
+
+    monkeypatch.setattr(cli, "estimate_gain", boom)
+    assert run(["gain", "--sizes", "2,3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: ")
+    assert type(error).__name__ in err and "Traceback" not in err
+
+
 def test_output_file_writing(tmp_path):
     out = tmp_path / "gain.txt"
     assert run(["gain", "--sizes", "2,3", "--out", str(out)]) == 0

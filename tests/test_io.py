@@ -60,11 +60,12 @@ def test_format_sniffing_ignores_extension(tmp_path, labeled_cloud):
 
 def test_bad_magic(tmp_path):
     # without the magic bytes a file is read as ASCII, and this is no
-    # ASCII cloud either
+    # ASCII cloud either; the error names both readings
     path = tmp_path / "bad.rspc"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(CloudFormatError, match="fields"):
+    with pytest.raises(CloudFormatError, match="fields") as info:
         read_cloud(path)
+    assert "b'NOPE'" in str(info.value) and "RSPC" in str(info.value)
 
 
 def test_truncated_header(tmp_path):

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import sys
 import threading
 
 import numpy as np
@@ -132,7 +134,18 @@ def test_run_pipeline_report_fields_and_coverage():
     assert report.total_distance_evals == sum(r["distance_evals"] for r in records)
 
 
-def test_run_pipeline_threaded_matches_sequential():
+# worker counts a threaded run is tested with: one core, fewer cores than
+# scales, and one worker per scale
+CORES = [1, 2, 3, 4]
+
+
+def _set_cores(monkeypatch, cores):
+    monkeypatch.setattr(pipeline, "_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("cores", CORES)
+def test_run_pipeline_threaded_matches_sequential(monkeypatch, cores):
+    _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=3)
     seq, _ = run_pipeline(models, cloud, parts, pcfg)
     thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
@@ -141,14 +154,13 @@ def test_run_pipeline_threaded_matches_sequential():
         assert np.array_equal(a.labels, b.labels)
 
 
-def _threaded_error(models, cloud, parts, pcfg):
-    """The exception a threaded run raises (None if none); fails on a hang."""
+def _threaded_run(models, cloud, parts, pcfg):
+    """A threaded run's result, or the exception it raises; fails on a hang."""
     outcome = []
 
     def call():
         try:
-            run_pipeline(models, cloud, parts, pcfg, threaded=True)
-            outcome.append(None)
+            outcome.append(run_pipeline(models, cloud, parts, pcfg, threaded=True))
         except Exception as exc:  # noqa: BLE001 - the test inspects it
             outcome.append(exc)
 
@@ -167,13 +179,18 @@ def test_run_pipeline_failing_scale_raises_not_hangs():
     models = [broken] + models[1:]
     with pytest.raises(KeyError):
         run_pipeline(models, cloud, parts, pcfg)
-    assert isinstance(_threaded_error(models, cloud, parts, pcfg), KeyError)
+    assert isinstance(_threaded_run(models, cloud, parts, pcfg), KeyError)
 
 
 def _spy_stages(monkeypatch):
-    """Record the scale id of every fuse and decode the pipeline starts."""
+    """Record the scale id of every encode, fuse and decode the pipeline
+    starts."""
     calls = []
-    fuse, decode = pipeline.fuse, pipeline.decode
+    encode, fuse, decode = pipeline.encode, pipeline.fuse, pipeline.decode
+
+    def spy_encode(*args, scale_id, **kwargs):
+        calls.append(("encode", scale_id))
+        return encode(*args, scale_id=scale_id, **kwargs)
 
     def spy_fuse(current, *args, **kwargs):
         calls.append(("fuse", current.scale_id))
@@ -183,26 +200,105 @@ def _spy_stages(monkeypatch):
         calls.append(("decode", fused.scale_id))
         return decode(model, fused, *args, **kwargs)
 
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
     monkeypatch.setattr(pipeline, "fuse", spy_fuse)
     monkeypatch.setattr(pipeline, "decode", spy_decode)
     return calls
 
 
-def test_threaded_failure_stops_later_scales(monkeypatch):
+def _encoded(calls):
+    return sorted(scale for kind, scale in calls if kind == "encode")
+
+
+@pytest.mark.parametrize("cores", CORES)
+def test_threaded_failure_stops_later_scales(monkeypatch, cores):
+    _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=4)
     calls = _spy_stages(monkeypatch)
     broken = ScaleModel(dict(models[0].params))
     del broken.params["att0_wq"]
-    error = _threaded_error([broken] + models[1:], cloud, parts, pcfg)
+    error = _threaded_run([broken] + models[1:], cloud, parts, pcfg)
     assert isinstance(error, KeyError)
     assert [c for c in calls if c[0] == "fuse"] == []
+    # a failed run starts no further scale: only the scales the workers
+    # took before scale 1 failed encode (scale 1 alone on one core)
+    assert _encoded(calls) == list(range(1, cores + 1))
 
     calls.clear()
     broken = ScaleModel(dict(models[1].params))
     del broken.params["fuse_cw"]
-    error = _threaded_error([models[0], broken] + models[2:], cloud, parts, pcfg)
+    error = _threaded_run([models[0], broken] + models[2:], cloud, parts, pcfg)
     assert isinstance(error, KeyError)
     assert [c for c in calls if c[0] == "decode"] == [("decode", 1)]
+
+
+def test_threaded_stress_runs_each_scale_once(monkeypatch):
+    # more workers than cores, and a thread switch every microsecond: a
+    # scale taken twice or never shows as a wrong encode list or a hang
+    voxels = (0.6, 0.45, 0.35, 0.25, 0.18, 0.12)
+    cloud, _, pcfg, _ = make_setup(n_points=3000, seed=5)
+    parts = build_partitions(cloud, PartitionConfig(voxel_sizes=voxels,
+                                                    rng_seed=5))
+    models = [ScaleModel(init_params(pcfg.backbone, seed=i, with_fusion=(i > 0)))
+              for i in range(len(voxels))]
+    assert min(parts.sizes) > 0
+    seq, _ = run_pipeline(models, cloud, parts, pcfg)
+    _set_cores(monkeypatch, len(voxels))
+    calls = _spy_stages(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            calls.clear()
+            thr, _ = _threaded_run(models, cloud, parts, pcfg)
+            assert _encoded(calls) == list(range(1, len(voxels) + 1))
+            for a, b in zip(seq, thr):
+                assert np.array_equal(a.logits, b.logits)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_worker_count_follows_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline._cores() == len(os.sched_getaffinity(0))
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    names = set()
+    encode = pipeline.encode
+
+    def spy_encode(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
+    run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    assert 1 <= len(names) <= min(parts.num_scales, pipeline._cores())
+
+
+def test_threaded_runs_at_most_one_scale_per_worker(monkeypatch):
+    _set_cores(monkeypatch, 2)
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    lock = threading.Lock()
+    running, peak = set(), []
+    encode, decode = pipeline.encode, pipeline.decode
+
+    def spy_encode(*args, scale_id, **kwargs):
+        with lock:
+            running.add(scale_id)
+            peak.append(len(running))
+        return encode(*args, scale_id=scale_id, **kwargs)
+
+    def spy_decode(model, fused, *args, **kwargs):
+        out = decode(model, fused, *args, **kwargs)
+        with lock:
+            running.discard(fused.scale_id)
+        return out
+
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
+    monkeypatch.setattr(pipeline, "decode", spy_decode)
+    run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    assert len(peak) == parts.num_scales
+    assert max(peak) <= 2
+    assert not running
 
 
 def _sha(a):
@@ -219,8 +315,11 @@ GOLDEN_PREDICTIONS = [
 ]
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_run_pipeline_predictions_golden(threaded):
+@pytest.mark.parametrize("threaded, cores", [pytest.param(False, None, id="False")]
+                         + [pytest.param(True, c, id=f"True-{c}") for c in CORES])
+def test_run_pipeline_predictions_golden(monkeypatch, threaded, cores):
+    if threaded:
+        _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=9)
     preds, _ = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
     assert [(_sha(p.labels), _sha(p.logits)) for p in preds] == GOLDEN_PREDICTIONS
