@@ -185,7 +185,7 @@ def _cores():
     """Cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity call on this platform
+    except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
