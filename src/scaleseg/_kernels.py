@@ -26,7 +26,8 @@ _CHUNK_ROWS = 32
 def knn_topk(points, queries, k):
     """Exact k nearest neighbors of each query among `points`.
 
-    points, queries: contiguous float64 arrays of shape (M, 3) / (Q, 3).
+    points, queries: contiguous float64 arrays of shape (M, 3) / (Q, 3),
+    M >= 1.
     Returns (ids, d2), each (Q, min(k, M)), rows ascending by
     (squared distance, point id). Brute force, vectorized over query
     chunks: every call evaluates Q*M point distances.
@@ -52,29 +53,22 @@ def knn_topk(points, queries, k):
             np.subtract(qc[lo:hi], pc, out=term)
             np.square(term, out=term)
             d2 += term
-        if k < m:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k].astype(np.int64)
-        else:
-            part = np.broadcast_to(np.arange(m, dtype=np.int64), (hi - lo, m)).copy()
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         pd2 = np.take_along_axis(d2, part, axis=1)
-        # Order the k candidates by (distance, id): sort ids first, then a
-        # stable sort on distance keeps lower ids ahead among ties.
-        o1 = np.argsort(part, axis=1)
-        part = np.take_along_axis(part, o1, axis=1)
-        pd2 = np.take_along_axis(pd2, o1, axis=1)
-        o2 = np.argsort(pd2, axis=1, kind="stable")
-        part = np.take_along_axis(part, o2, axis=1)
-        pd2 = np.take_along_axis(pd2, o2, axis=1)
-        if k < m:
-            # argpartition picks an arbitrary subset among ties straddling the
-            # k-th distance; repair those rows so lower ids always win.
-            kth = pd2[:, -1]
-            n_leq = np.count_nonzero(d2 <= kth[:, None], axis=1)
-            for r in np.flatnonzero(n_leq > k):
-                cand = np.flatnonzero(d2[r] <= kth[r])
-                order = np.lexsort((cand, d2[r, cand]))[:k]
-                part[r] = cand[order]
-                pd2[r] = d2[r, cand[order]]
+        # Order the k candidates by (distance, id).
+        order = np.lexsort((part, pd2), axis=1)
+        part = np.take_along_axis(part, order, axis=1)
+        pd2 = np.take_along_axis(pd2, order, axis=1)
+        # argpartition picks an arbitrary subset among ties straddling the
+        # k-th distance; repair those rows so lower ids always win. With
+        # k == M every point is a candidate and no row needs it.
+        kth = pd2[:, -1]
+        n_leq = np.count_nonzero(d2 <= kth[:, None], axis=1)
+        for r in np.flatnonzero(n_leq > k):
+            cand = np.flatnonzero(d2[r] <= kth[r])
+            order = np.lexsort((cand, d2[r, cand]))[:k]
+            part[r] = cand[order]
+            pd2[r] = d2[r, cand[order]]
         out_idx[lo:hi] = part
         out_d2[lo:hi] = pd2
     return out_idx, out_d2

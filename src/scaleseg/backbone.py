@@ -19,7 +19,7 @@ constants of the graph and receive no gradient. Both halves require
 >= 1 input point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +93,10 @@ class Prediction:
     """Logits plus argmax labels (ties -> lowest class id)."""
 
     logits: np.ndarray  # (N, C)
-    labels: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels", np.argmax(self.logits, axis=1))
+    @property
+    def labels(self):
+        return np.argmax(self.logits, axis=1)
 
     @property
     def n(self):

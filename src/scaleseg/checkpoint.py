@@ -13,6 +13,7 @@ round-trips bit-exactly.
 """
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -103,9 +104,12 @@ def load_checkpoint(path):
         name = r.text(name_len)
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(r.take(size * 8), dtype="<f8").reshape(shape)
-        params[name] = data.copy()
+        # Python integers: a product of u64 dims never wraps around
+        data = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8")
+        try:
+            params[name] = data.reshape(shape).copy()
+        except ValueError as exc:  # an empty tensor with a dim numpy cannot hold
+            raise CheckpointFormatError(f"{path}: tensor {name!r}: {exc}") from None
     if r.at != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - r.at} trailing bytes")
     return params, cfg, bool(frozen), meta

@@ -138,14 +138,16 @@ def _model_path(models_dir, scale_id):
     return os.path.join(models_dir, name)
 
 
-def _load_models(models_dir, scale_ids, pcfg=None):
+def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
     """(models, pcfg) from the checkpoints of the given scale ids.
 
     Each checkpoint must hold the tensor names and shapes of a fresh
     model of its stored configuration; only scales >= 2 fuse (scale id 0
     is the whole-cloud baseline). All of them, and pcfg when given, must
     share one PipelineConfig; a checkpoint without k_fuse has the
-    default one.
+    default one. A checkpoint that records the voxel sizes it was
+    trained with must start with the configured `voxel_sizes` up to its
+    own scale (all of them for the baseline).
     """
     models = []
     for scale_id in scale_ids:
@@ -172,6 +174,17 @@ def _load_models(models_dir, scale_ids, pcfg=None):
         elif stored != pcfg:
             raise CheckpointFormatError(
                 f"{path}: model configuration {stored} does not match {pcfg}")
+        recorded = extras.get("voxel_sizes")
+        if recorded is not None:
+            want = tuple(voxel_sizes[:scale_id or None])
+            try:
+                trained = tuple(float(v) for v in recorded.split(","))
+            except ValueError:
+                trained = ()
+            if trained[:len(want)] != want:
+                raise CheckpointFormatError(
+                    f"{path}: trained with voxel sizes {recorded}, configured "
+                    f"{','.join(map(repr, voxel_sizes))}")
         try:
             models.append(ScaleModel(params, frozen))
         except ValueError as exc:
@@ -211,14 +224,15 @@ def _table(headers, rows):
     return lines
 
 
-def _scale_lines(report):
+def _scale_lines(report, arrivals_ms=None):
     """One scale record per scale, then the scale table."""
     headers = ["Scale", "Points", "Coarse", "Encode(ms)", "Fuse(ms)",
                "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)", "Evals"]
-    rows = [[s.scale, s.n_points, s.n_coarse, s.encode_ms, s.fuse_ms,
-             s.decode_ms, s.cumulative_ms, s.pipelined_ms, s.distance_evals]
-            for s in report.scales]
-    return ([_record("scale", **rec) for rec in report.records()]
+    keys = ["scale", "n_points", "n_coarse", "encode_ms", "fuse_ms",
+            "decode_ms", "cumulative_ms", "pipelined_ms", "distance_evals"]
+    records = report.records(arrivals_ms)
+    rows = [[rec[key] for key in keys] for rec in records]
+    return ([_record("scale", **rec) for rec in records]
             + _table(headers, rows))
 
 
@@ -263,8 +277,8 @@ def cmd_partition(args):
 
 def cmd_train(args):
     cfg = _merge_config(args)
-    if not args.baseline and args.scale is None:
-        raise ConfigError("train requires --scale N or --baseline")
+    if args.baseline == (args.scale is not None):
+        raise ConfigError("train requires exactly one of --scale N and --baseline")
     part_cfg = _partition_config(cfg)
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
     pcfg = _pipeline_config(cfg, num_classes)
@@ -272,7 +286,7 @@ def cmd_train(args):
     tcfg = _build(TrainConfig, cfg, rng_seed=seed)
     os.makedirs(args.models, exist_ok=True)
     extras = {"k_fuse": pcfg.k_fuse,
-              "voxel_sizes": ",".join(repr(v) for v in part_cfg.voxel_sizes)}
+              "voxel_sizes": ",".join(map(repr, part_cfg.voxel_sizes))}
 
     if args.baseline:
         # whole-cloud reference: one "scale" holding the union of all
@@ -289,7 +303,8 @@ def cmd_train(args):
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
         _require_points(scenes, part_cfg, scale_id)
-        models, _ = _load_models(args.models, range(1, scale_id), pcfg)
+        models, _ = _load_models(args.models, range(1, scale_id),
+                                 part_cfg.voxel_sizes, pcfg)
         for j, model in enumerate(models, start=1):
             if not model.frozen:
                 raise CheckpointFormatError(
@@ -320,14 +335,13 @@ def cmd_infer(args):
         except ValueError as exc:
             raise ConfigError(
                 f"--arrival-times {args.arrival_times!r}: {exc}") from None
-    models, pcfg = _load_models(args.models,
-                                range(1, part_cfg.num_scales + 1))
+    models, pcfg = _load_models(args.models, range(1, part_cfg.num_scales + 1),
+                                part_cfg.voxel_sizes)
     parts = build_partitions(cloud, part_cfg)
     preds, report = run_pipeline(models, cloud, parts, pcfg,
-                                 arrival_times=arrivals,
                                  threaded=args.threaded,
                                  fusion_enabled=not args.no_fusion)
-    for line in _scale_lines(report):
+    for line in _scale_lines(report, arrivals):
         print(line)
     if args.out:
         idx = np.concatenate(parts.partitions)
@@ -351,8 +365,8 @@ def cmd_bench(args):
     part_cfg = _partition_config(cfg)
     scale_ids = range(1, part_cfg.num_scales + 1)
     if args.models:
-        models, pcfg = _load_models(args.models, scale_ids)
-        [baseline], _ = _load_models(args.models, [0], pcfg)
+        models, pcfg = _load_models(args.models, scale_ids, part_cfg.voxel_sizes)
+        [baseline], _ = _load_models(args.models, [0], part_cfg.voxel_sizes, pcfg)
     else:
         num_classes = cloud.num_classes if cloud.num_classes >= 2 else \
             _scene_spec(cfg, seed).num_classes
@@ -387,7 +401,7 @@ def cmd_eval(args):
     scale_ids = range(1, part_cfg.num_scales + 1)
     for scale_id in scale_ids:
         _require_points(scenes, part_cfg, scale_id)
-    models, pcfg = _load_models(args.models, scale_ids)
+    models, pcfg = _load_models(args.models, scale_ids, part_cfg.voxel_sizes)
     if pcfg.backbone.num_classes != num_classes:
         raise CloudFormatError(
             f"models expect {pcfg.backbone.num_classes} classes, "

@@ -95,7 +95,6 @@ class PartitionSet:
     """s pairwise-disjoint index arrays into the source cloud."""
 
     partitions: tuple
-    source_point_count: int
     voxel_sizes: tuple
 
     def __post_init__(self):
@@ -120,8 +119,7 @@ class PartitionSet:
         if not 1 <= upto <= self.num_scales:
             raise ValueError("upto_scale out of range")
         merged = np.sort(np.concatenate(self.partitions[:upto]))
-        return PartitionSet((merged,), self.source_point_count,
-                            (min(self.voxel_sizes[:upto]),))
+        return PartitionSet((merged,), (min(self.voxel_sizes[:upto]),))
 
 
 def voxel_keys(cloud: PointCloud, voxel_size: float) -> np.ndarray:
@@ -229,7 +227,7 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
             "input cloud is too sparse for the configured voxel sizes",
             stacklevel=2,
         )
-    return PartitionSet(tuple(partitions), cloud.n, cfg.voxel_sizes)
+    return PartitionSet(tuple(partitions), cfg.voxel_sizes)
 
 
 def gather(cloud: PointCloud, indices) -> PointCloud:

@@ -6,15 +6,16 @@ fuse(store) -> extend store -> decode. The store extension happens
 before decode so the next scale's fusion can overlap the current
 scale's decoder when threaded.
 
-A threaded run starts one worker per core, at most one per scale. Each
-worker takes the lowest scale not yet started, runs it, and takes the
-next, so scale 1 never shares the cores with more scales than there
-are cores and its labels come at close to sequential speed. On one
-core this is the sequential order. It cannot deadlock: a scale waits
-only on the scale before it, which was taken earlier and so is running
-or done. Predictions are bit-identical under any schedule: all stages
-are pure functions and the store contents seen by scale i are exactly
-scales 1..i-1.
+Every run goes through one worker loop. A threaded run starts one
+worker per core, at most one per scale; a sequential run is one worker,
+the calling thread. Each worker takes the lowest scale not yet started,
+runs it, and takes the next, so scale 1 never shares the cores with
+more scales than there are cores and its labels come at close to
+sequential speed. It cannot deadlock: a scale waits only on the scale
+before it, which was taken earlier and so is running or done.
+Predictions are bit-identical under any schedule: all stages are pure
+functions and the store contents seen by scale i are exactly scales
+1..i-1.
 """
 
 import math
@@ -127,6 +128,8 @@ def simulate_schedule(durations_ms, arrivals_ms=None):
 
 @dataclass
 class ScaleTiming:
+    """What one scale's run measured."""
+
     scale: int
     n_points: int
     n_coarse: int
@@ -134,10 +137,6 @@ class ScaleTiming:
     fuse_ms: float
     decode_ms: float
     distance_evals: int
-    arrival_ms: float = 0.0
-    cumulative_ms: float = 0.0
-    completion_ms: float = 0.0
-    pipelined_ms: float = 0.0
 
     @property
     def duration_ms(self):
@@ -148,34 +147,28 @@ class ScaleTiming:
 class TimingReport:
     scales: list = field(default_factory=list)
 
-    def finalize(self, arrivals_ms=None):
-        """Fill the schedule-bound fields from the measured durations."""
-        cum, comp, ind = simulate_schedule(
-            [s.duration_ms for s in self.scales], arrivals_ms)
-        for s, a, c, f, i in zip(self.scales,
-                                 arrivals_ms or [0.0] * len(cum), cum, comp, ind):
-            s.arrival_ms = float(a)
-            s.cumulative_ms = c
-            s.completion_ms = f
-            s.pipelined_ms = i
-        return self
-
     @property
     def total_ms(self):
-        return self.scales[-1].cumulative_ms if self.scales else 0.0
+        return sum((s.duration_ms for s in self.scales), 0.0)
 
     @property
     def total_distance_evals(self):
         return sum(s.distance_evals for s in self.scales)
 
-    def records(self):
+    def records(self, arrivals_ms=None):
+        """One dict per scale: the measured fields plus the schedule
+        bounds that `simulate_schedule` derives from the durations and
+        `arrivals_ms` (ms, one per scale; all 0 when None)."""
+        cum, comp, ind = simulate_schedule(
+            [s.duration_ms for s in self.scales], arrivals_ms)
+        arrivals = [0.0] * len(cum) if arrivals_ms is None else arrivals_ms
         return [{"scale": s.scale, "n_points": s.n_points,
-                 "n_coarse": s.n_coarse, "arrival_ms": s.arrival_ms,
+                 "n_coarse": s.n_coarse, "arrival_ms": float(a),
                  "encode_ms": s.encode_ms, "fuse_ms": s.fuse_ms,
-                 "decode_ms": s.decode_ms, "cumulative_ms": s.cumulative_ms,
-                 "completion_ms": s.completion_ms,
-                 "pipelined_ms": s.pipelined_ms,
-                 "distance_evals": s.distance_evals} for s in self.scales]
+                 "decode_ms": s.decode_ms, "cumulative_ms": c,
+                 "completion_ms": f, "pipelined_ms": i,
+                 "distance_evals": s.distance_evals}
+                for s, a, c, f, i in zip(self.scales, arrivals, cum, comp, ind)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +240,21 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
 
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
-                 cfg: PipelineConfig, arrival_times=None, threaded=False,
-                 fusion_enabled=True):
+                 cfg: PipelineConfig, threaded=False, fusion_enabled=True):
     """Run all scales; returns (predictions, TimingReport).
 
-    arrival_times (ms, non-decreasing, one per scale) only affect the
-    reported pipelined bounds, never the computation itself.
-
-    threaded=True runs the scales on min(num_scales, cores) worker
-    threads. Each worker takes the lowest scale not yet started and runs
-    it to the end; once any scale has failed, no worker takes another.
-    The lowest failed scale's error is raised here. This cannot
-    deadlock: scales are taken in order, so when scale i waits for
-    scale i-1's store entry, scale i-1 has already been taken and is
-    running or done on another worker (or earlier on this one). With
-    one worker the run is the sequential order. The store that scale i
-    fuses with is exactly scales 1..i-1 under any worker count, so the
-    predictions are bit-identical to a sequential run.
+    threaded only chooses the worker count: min(num_scales, cores) when
+    set, else 1. One worker is the calling thread itself; with more, the
+    calling thread only waits for them. Each worker takes the lowest
+    scale not yet started and runs it to the end; once any scale has
+    failed, no worker takes another, and the lowest failed scale's error
+    is raised here. The store that scale i fuses with is exactly scales
+    1..i-1 under any worker count, so the predictions are bit-identical
+    to a sequential run.
     """
     s = parts.num_scales
     if len(models) != s:
         raise ValueError(f"{len(models)} models for {s} scales")
-    if arrival_times is not None and len(arrival_times) != s:
-        raise ValueError("arrival time count does not match scale count")
 
     feats_all = cloud.xyzrgb()
     scale_inputs = [(cloud.positions[idx], feats_all[idx])
@@ -280,43 +265,38 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     timings = [None] * s
     ready = [threading.Event() for _ in range(s)]
     failed = threading.Event()
+    errors = [None] * s
+    pending = iter(range(s))
+    take = threading.Lock()
 
-    def run(i):
-        _run_scale(i, models[i], *scale_inputs[i], parts.voxel_sizes[i],
-                   store, ready, failed, cfg, fusion_enabled, preds, timings)
+    def work():
+        while not failed.is_set():
+            with take:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                _run_scale(i, models[i], *scale_inputs[i], parts.voxel_sizes[i],
+                           store, ready, failed, cfg, fusion_enabled, preds,
+                           timings)
+            except Exception as exc:  # re-raised below, in the caller
+                errors[i] = exc
 
-    if threaded:
-        errors = [None] * s
-        pending = iter(range(s))
-        take = threading.Lock()
-
-        def work():
-            while not failed.is_set():
-                with take:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                try:
-                    run(i)
-                except Exception as exc:  # re-raised below, in the caller
-                    errors[i] = exc
-
+    num_workers = min(s, _cores()) if threaded else 1
+    if num_workers <= 1:
+        work()
+    else:
         workers = [threading.Thread(target=work, name=f"scaleseg-worker-{k + 1}")
-                   for k in range(min(s, _cores()))]
+                   for k in range(num_workers)]
         for w in workers:
             w.start()
         for w in workers:
             w.join()
-        # the lowest failed scale's error is the root cause
-        for exc in errors:
-            if exc is not None:
-                raise exc
-    else:
-        for i in range(s):
-            run(i)
-
-    report = TimingReport(timings).finalize(arrival_times)
-    return preds, report
+    # the lowest failed scale's error is the root cause
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return preds, TimingReport(timings)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
             idx = parts.partitions[i]
             if idx.size:
                 matrices[i].update(cloud.labels[idx], preds[i].labels)
-        cumulative += [s.cumulative_ms for s in report.scales]
+        cumulative += [r["cumulative_ms"] for r in report.records()]
 
     method = "fusion" if fusion_enabled else "no-fusion"
     rows = []

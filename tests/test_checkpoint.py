@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -92,4 +93,20 @@ def test_non_utf8_text(tmp_path, text):
     assert data.count(text) == 1
     path.write_bytes(data.replace(text, text[:-1] + b"\xff"))
     with pytest.raises(CheckpointFormatError, match="utf-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(2 ** 62, 4), (2 ** 63, 0)],
+                         ids=["count-overflows", "empty-dim-overflows"])
+def test_tensor_dims_beyond_int64(tmp_path, dims):
+    # head_b's header claims dims whose element count, or one dim, does
+    # not fit in int64; its data bytes stay as they were
+    c = cfg()
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c)
+    data = path.read_bytes()
+    at = data.index(b"head_b") + len(b"head_b")
+    assert data[at:at + 9] == struct.pack("<BQ", 1, c.num_classes)
+    path.write_bytes(data[:at] + struct.pack("<B2Q", 2, *dims) + data[at + 9:])
+    with pytest.raises(CheckpointFormatError, match="head_b|truncated"):
         load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -200,6 +201,14 @@ def test_train_requires_scale_or_baseline(tmp_path):
     assert run(["train", "--models", str(tmp_path / "m")]) == 3
 
 
+def test_train_scale_and_baseline_is_config_error(tmp_path, capsys):
+    assert run(["train", "--scale", "2", "--baseline",
+                "--models", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "--scale" in err and "--baseline" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_scale_out_of_order(tmp_path):
     # scale 2 without a frozen scale-1 checkpoint on disk
     assert run(["train", "--scale", "2", "--models", str(tmp_path / "m"),
@@ -238,6 +247,22 @@ def test_train_refuses_lower_scale_of_other_config(tmp_path, trained, capsys):
                 "--scenes", "1", "--points", "1500", "--classes", "4",
                 "--epochs", "1", "--seed", "1"] + FAST) == 2
     assert "scale_1.ckpt" in capsys.readouterr().err
+    assert not (models / "scale_2.ckpt").exists()
+
+
+def test_train_refuses_lower_scale_of_other_voxel_sizes(tmp_path, trained,
+                                                        capsys):
+    # scale 1 was trained at 0.5 m
+    models = tmp_path / "m"
+    models.mkdir()
+    (models / "scale_1.ckpt").write_bytes((trained / "scale_1.ckpt").read_bytes())
+    assert run(["train", "--scale", "2", "--models", str(models),
+                "--scenes", "1", "--points", "1500", "--classes", "4",
+                "--epochs", "1", "--seed", "1", "--feature-dim", "8",
+                "--voxel-sizes", "0.45,0.35"]) == 2
+    err = capsys.readouterr().err
+    assert "scale_1.ckpt" in err
+    assert "trained with voxel sizes 0.5,0.35, configured 0.45,0.35" in err
     assert not (models / "scale_2.ckpt").exists()
 
 
@@ -302,6 +327,63 @@ def test_infer_bad_arrivals(tmp_path, trained, monkeypatch):
         assert run(["infer", "--in", str(scene), "--models", str(trained),
                     "--voxel-sizes", "0.5,0.35",
                     f"--arrival-times={arrivals}"]) == 3, arrivals
+
+
+def _with_voxel_extra(trained, models, value):
+    """Copies of the trained scales whose recorded voxel sizes are
+    `value`, or absent when None."""
+    models.mkdir()
+    for name in ("scale_1.ckpt", "scale_2.ckpt"):
+        params, bcfg, frozen, extras = load_checkpoint(trained / name)
+        extras.pop("voxel_sizes")
+        if value is not None:
+            extras["voxel_sizes"] = value
+        save_checkpoint(models / name, params, bcfg, frozen=frozen,
+                        extras=extras)
+
+
+@pytest.mark.parametrize("recorded, voxels, code", [
+    ("0.5,0.35", "0.2,0.1", 2),
+    ("0.5,0.35", "0.5,0.3", 2),
+    ("0.5,0.35", "0.5", 0),  # a shorter configured prefix
+    ("0.5,abc", "0.5,0.35", 2),
+    (None, "0.2,0.1", 0),  # a file without the extra
+], ids=["other", "other-scale-2", "prefix", "unparsed", "absent"])
+def test_infer_checks_recorded_voxel_sizes(tmp_path, trained, capsys,
+                                           monkeypatch, recorded, voxels, code):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    models = tmp_path / "m"
+    _with_voxel_extra(trained, models, recorded)
+    if code != 0:
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scale ran before the checkpoints were checked")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_run)
+    assert run(["infer", "--in", str(scene), "--models", str(models),
+                "--voxel-sizes", voxels]) == code
+    if code != 0:
+        assert (f"trained with voxel sizes {recorded}, configured "
+                f"{','.join(repr(float(v)) for v in voxels.split(','))}"
+                in capsys.readouterr().err)
+
+
+def test_infer_checkpoint_dims_beyond_int64(tmp_path, trained, capsys):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    (bad / "scale_2.ckpt").write_bytes((trained / "scale_2.ckpt").read_bytes())
+    # head_b of 4 classes claims dims (2^62, 4): 2^64 elements
+    data = (trained / "scale_1.ckpt").read_bytes()
+    at = data.index(b"head_b") + len(b"head_b")
+    assert data[at:at + 9] == struct.pack("<BQ", 1, 4)
+    (bad / "scale_1.ckpt").write_bytes(
+        data[:at] + struct.pack("<B2Q", 2, 2 ** 62, 4) + data[at + 9:])
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5,0.35"]) == 2
+    err = capsys.readouterr().err
+    assert "scale_1.ckpt" in err and "truncated" in err
 
 
 def test_infer_corrupt_checkpoint(tmp_path):

@@ -95,7 +95,6 @@ def test_partition_union():
         assert len(merged_ids) == sum(len(p) for p in merged)
         assert set(merged_ids.tolist()) == set(np.concatenate(merged).tolist())
         assert one.voxel_sizes == (want,)
-        assert one.source_point_count == cloud.n
     for upto in (0, parts.num_scales + 1):
         with pytest.raises(ValueError, match="upto_scale out of range"):
             parts.union(upto)

@@ -232,6 +232,49 @@ def test_threaded_failure_stops_later_scales(monkeypatch, cores):
     assert [c for c in calls if c[0] == "decode"] == [("decode", 1)]
 
 
+def test_sequential_failure_stops_later_scales(monkeypatch):
+    # a sequential run goes through the same worker loop: scale 1 fails,
+    # no later scale starts, and scale 1's error is raised
+    cloud, parts, pcfg, models = make_setup(seed=4)
+    calls = _spy_stages(monkeypatch)
+    broken = ScaleModel(dict(models[0].params))
+    del broken.params["att0_wq"]
+    with pytest.raises(KeyError):
+        run_pipeline([broken] + models[1:], cloud, parts, pcfg)
+    assert _encoded(calls) == [1]
+
+    calls.clear()
+    broken = ScaleModel(dict(models[1].params))
+    del broken.params["fuse_cw"]
+    with pytest.raises(KeyError):
+        run_pipeline([models[0], broken] + models[2:], cloud, parts, pcfg)
+    assert _encoded(calls) == [1, 2]
+    assert [c for c in calls if c[0] == "decode"] == [("decode", 1)]
+
+
+@pytest.mark.parametrize("threaded, cores", [(False, 4), (True, 1)])
+def test_one_worker_runs_on_the_calling_thread(monkeypatch, threaded, cores):
+    # sequential, or threaded on one core: the caller runs every scale
+    # itself and no thread is started
+    _set_cores(monkeypatch, cores)
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    threads = set()
+    encode = pipeline.encode
+
+    def spy_encode(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return encode(*args, **kwargs)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-worker run started a thread")
+
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
+    monkeypatch.setattr(pipeline.threading, "Thread", no_thread)
+    preds, report = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
+    assert threads == {threading.current_thread()}
+    assert len(preds) == len(report.scales) == parts.num_scales
+
+
 def test_threaded_stress_runs_each_scale_once(monkeypatch):
     # more workers than cores, and a thread switch every microsecond: a
     # scale taken twice or never shows as a wrong encode list or a hang
@@ -336,9 +379,8 @@ def test_run_pipeline_fusion_bypass_differs():
 def test_run_pipeline_arrival_times():
     cloud, parts, pcfg, models = make_setup(seed=5, n_points=1500)
     arrivals = [0.0, 5.0, 10.0, 15.0]
-    _, report = run_pipeline(models, cloud, parts, pcfg,
-                             arrival_times=arrivals)
-    records = report.records()
+    _, report = run_pipeline(models, cloud, parts, pcfg)
+    records = report.records(arrivals)
     for rec in records:
         assert rec["pipelined_ms"] <= rec["cumulative_ms"] + 1e-9
     # records carry arrival, completion and coarse-point counts
@@ -348,11 +390,13 @@ def test_run_pipeline_arrival_times():
     assert [r["completion_ms"] for r in records] == completion
     assert [r["n_coarse"] for r in records] == [s.n_coarse for s in report.scales]
     assert all(r["n_coarse"] > 0 for r in records)
+    # the arrivals change only the derived bounds, never the measurements
+    assert [r["cumulative_ms"] for r in report.records()] == \
+        [r["cumulative_ms"] for r in records]
     with pytest.raises(ValueError):
-        run_pipeline(models, cloud, parts, pcfg, arrival_times=[0.0])
+        report.records([0.0])
     with pytest.raises(ValueError):
-        run_pipeline(models, cloud, parts, pcfg,
-                     arrival_times=[0.0, 3.0, 2.0, 4.0])
+        report.records([0.0, 3.0, 2.0, 4.0])
 
 
 def test_run_pipeline_model_count_checked():
