@@ -6,10 +6,31 @@ deterministic and equal those of a plain per-query brute-force scan.
 
 Queries run in blocks of _CHUNK_ROWS rows against contiguous copies of
 the coordinate columns. Each block's distances are written into two
-(_CHUNK_ROWS, M) buffers allocated once per call, so the working set
-stays small enough to live in cache instead of streaming fresh
-temporaries through memory on every block.
+(_CHUNK_ROWS, M) buffers, so the working set stays small enough to live
+in cache instead of streaming fresh temporaries through memory on every
+block.
+
+A call big enough to pay for threads splits its query rows into
+contiguous spans of whole blocks, one per core it can claim from
+`idle_cores`. The calling thread runs the first span and short-lived
+helper threads run the others, each with its own pair of block buffers
+and writing disjoint rows of the output; numpy releases the interpreter
+lock inside the distance and partition calls, so the spans run at once.
+No thread outlives the call, and a helper's error is raised in the
+caller after every helper has joined. A row goes through the same
+operations on the same inputs whichever span holds it, so a split call
+returns exactly the bits of an unsplit one.
+
+`idle_cores` is the one count of idle cores in the process. It starts at
+one less than the cores the process may run on, since the calling
+thread's core is busy. A call claims spare cores without blocking and
+gives them back once its helpers have joined. Threaded `run_pipeline`
+workers reserve their cores for the length of a run, so a split never
+takes a core from another scale; a worker lends its core while it waits.
 """
+
+import os
+import threading
 
 import numpy as np
 
@@ -19,8 +40,51 @@ def backend() -> str:
     return "numpy"
 
 
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class CorePool:
+    """A count of idle cores shared by threads. Reservations may take it
+    below zero, while the cores are oversubscribed; claims then get
+    nothing until enough cores are released."""
+
+    def __init__(self, idle):
+        self._idle = idle
+        self._lock = threading.Lock()
+
+    @property
+    def idle(self):
+        return self._idle
+
+    def claim(self, want):
+        """Take up to `want` idle cores without blocking; returns how many."""
+        with self._lock:
+            got = max(0, min(want, self._idle))
+            self._idle -= got
+        return got
+
+    def reserve(self, n):
+        """Take n cores whether or not they are idle."""
+        with self._lock:
+            self._idle -= n
+
+    def release(self, n):
+        with self._lock:
+            self._idle += n
+
+
+idle_cores = CorePool(_cores() - 1)
+
 # Query rows per distance block.
 _CHUNK_ROWS = 32
+# Candidate pairs (query rows x points) per span below which a thread
+# start and the interpreter-lock handoffs cost more than the span saves.
+_SPLIT_PAIRS = 1 << 20
 
 
 def knn_topk(points, queries, k):
@@ -30,27 +94,61 @@ def knn_topk(points, queries, k):
     M >= 1.
     Returns (ids, d2), each (Q, min(k, M)), rows ascending by
     (squared distance, point id). Brute force, vectorized over query
-    chunks: every call evaluates Q*M point distances.
+    blocks: every call evaluates Q*M point distances.
     """
     m = points.shape[0]
     k = min(int(k), m)
     nq = queries.shape[0]
-    out_idx = np.empty((nq, k), dtype=np.int64)
-    out_d2 = np.empty((nq, k), dtype=np.float64)
-    pcols = [np.ascontiguousarray(points[:, j]) for j in range(3)]
-    qcols = [np.ascontiguousarray(queries[:, j : j + 1]) for j in range(3)]
+    out = (np.empty((nq, k), dtype=np.int64), np.empty((nq, k), dtype=np.float64))
+    cols = ([np.ascontiguousarray(points[:, j]) for j in range(3)],
+            [np.ascontiguousarray(queries[:, j : j + 1]) for j in range(3)])
+    blocks = -(-nq // _CHUNK_ROWS)
+    want = min(blocks, nq * m // _SPLIT_PAIRS) - 1
+    helpers = idle_cores.claim(want) if want > 0 else 0
+    if not helpers:
+        _topk_rows(*cols, k, 0, nq, *out)
+        return out
+    edges = [min(blocks * s // (helpers + 1) * _CHUNK_ROWS, nq)
+             for s in range(helpers + 2)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            _topk_rows(*cols, k, lo, hi, *out)
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors.append(exc)
+
+    started = []
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            t = threading.Thread(target=run, args=(lo, hi), name="scaleseg-knn")
+            t.start()
+            started.append(t)
+        _topk_rows(*cols, k, edges[0], edges[1], *out)
+    finally:
+        for t in started:
+            t.join()
+        idle_cores.release(helpers)
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _topk_rows(pcols, qcols, k, lo, hi, out_idx, out_d2):
+    """Fill rows lo:hi of the outputs, one _CHUNK_ROWS block at a time."""
+    m = pcols[0].shape[0]
     step = _CHUNK_ROWS
-    d2_buf = np.empty((min(step, nq), m), dtype=np.float64)
+    d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float64)
     term_buf = np.empty_like(d2_buf)
-    for lo in range(0, nq, step):
-        hi = min(lo + step, nq)
-        d2 = d2_buf[: hi - lo]
-        term = term_buf[: hi - lo]
+    for b_lo in range(lo, hi, step):
+        b_hi = min(b_lo + step, hi)
+        d2 = d2_buf[: b_hi - b_lo]
+        term = term_buf[: b_hi - b_lo]
         # Accumulate in place in the term order (dx*dx + dy*dy) + dz*dz.
-        np.subtract(qcols[0][lo:hi], pcols[0], out=d2)
+        np.subtract(qcols[0][b_lo:b_hi], pcols[0], out=d2)
         np.square(d2, out=d2)
         for qc, pc in zip(qcols[1:], pcols[1:]):
-            np.subtract(qc[lo:hi], pc, out=term)
+            np.subtract(qc[b_lo:b_hi], pc, out=term)
             np.square(term, out=term)
             d2 += term
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
@@ -69,6 +167,5 @@ def knn_topk(points, queries, k):
             order = np.lexsort((cand, d2[r, cand]))[:k]
             part[r] = cand[order]
             pd2[r] = d2[r, cand[order]]
-        out_idx[lo:hi] = part
-        out_d2[lo:hi] = pd2
-    return out_idx, out_d2
+        out_idx[b_lo:b_hi] = part
+        out_d2[b_lo:b_hi] = pd2

@@ -226,10 +226,12 @@ def _table(headers, rows):
 
 def _scale_lines(report, arrivals_ms=None):
     """One scale record per scale, then the scale table."""
-    headers = ["Scale", "Points", "Coarse", "Encode(ms)", "Fuse(ms)",
-               "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)", "Evals"]
-    keys = ["scale", "n_points", "n_coarse", "encode_ms", "fuse_ms",
-            "decode_ms", "cumulative_ms", "pipelined_ms", "distance_evals"]
+    headers = ["Scale", "Points", "Coarse", "Plan(ms)", "Encode(ms)",
+               "Fuse(ms)", "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)",
+               "Queries", "Evals"]
+    keys = ["scale", "n_points", "n_coarse", "plan_ms", "encode_ms",
+            "fuse_ms", "decode_ms", "cumulative_ms", "pipelined_ms",
+            "knn_queries", "distance_evals"]
     records = report.records(arrivals_ms)
     rows = [[rec[key] for key in keys] for rec in records]
     return ([_record("scale", **rec) for rec in records]
@@ -379,7 +381,8 @@ def cmd_bench(args):
     base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg)
     lines = _scale_lines(report)
     lines.append(_record("baseline", n_points=base.n_points,
-                         wall_ms=base.wall_ms,
+                         wall_ms=base.wall_ms, plan_ms=base.plan_ms,
+                         knn_queries=base.knn_queries,
                          distance_evals=base.distance_evals))
     scalable_evals = report.total_distance_evals
     lines.append(_record("scalable", total_ms=report.total_ms,

@@ -15,10 +15,14 @@ import numpy as np
 
 # Voxel coordinates are packed into a single int64 (21 bits per axis).
 _KEY_BOUND = 1 << 20
+# Voxel coordinates past this magnitude do not fit an int64 with room to
+# subtract another; no real cloud comes near it.
+_COORD_BOUND = 2.0 ** 62
 
 
 class CloudExtentError(ValueError):
-    """A valid cloud too far from the origin for the packed voxel keys."""
+    """A valid cloud too large, or too far from the origin, for the packed
+    voxel keys."""
 
 
 def _as_f64(arr, name, cols):
@@ -132,7 +136,12 @@ def voxel_keys(cloud: PointCloud, voxel_size: float) -> np.ndarray:
 def _voxel_keys_raw(positions, voxel_size):
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
-    return np.floor(positions / voxel_size).astype(np.int64)
+    scaled = np.floor(positions / voxel_size)
+    if scaled.size and np.abs(scaled).max() >= _COORD_BOUND:
+        raise CloudExtentError(
+            f"cloud lies 2^62 or more voxels from the origin at voxel size "
+            f"{voxel_size:g} m")
+    return scaled.astype(np.int64)
 
 
 def _keys_in_range(keys):
@@ -154,24 +163,43 @@ def _pack(keys):
 def voxel_groups(positions, voxel_size):
     """Points grouped by voxel: (order, starts, group_keys).
 
-    order sorts the points by packed voxel key and, inside a voxel, by
-    (x, y, z), so the grouping is independent of input point order (up
-    to duplicate coordinates). Group g holds the points
-    order[starts[g]:starts[g + 1]] and has packed key group_keys[g].
-    Raises CloudExtentError when a point lies 2^20 or more voxels from
-    the origin.
+    order sorts the points by voxel coordinates (x, y, z) and, inside a
+    voxel, by position (x, y, z), so the grouping is independent of input
+    point order (up to duplicate coordinates). Group g holds the points
+    order[starts[g]:starts[g + 1]]. Voxels are packed relative to the
+    cloud's lowest voxel coordinate on each axis, so a cloud far from the
+    origin groups like the same cloud moved to it. group_keys[g] is the
+    voxel's absolute packed key when every voxel lies within +/-2^20 of
+    the origin, else a 64-bit mix of its absolute coordinates.
+    Raises CloudExtentError when the cloud spans 2^21 or more voxels
+    along an axis.
     """
     keys = _voxel_keys_raw(positions, voxel_size)
-    if not _keys_in_range(keys):
+    lo = keys.min(axis=0) if len(keys) else 0
+    rel = keys - (lo + _KEY_BOUND)
+    if not _keys_in_range(rel):
         raise CloudExtentError(
-            f"cloud extends beyond the supported +/-2^20 voxels from the "
-            f"origin at voxel size {voxel_size:g} m (voxel coordinates "
-            f"{keys.min()}..{keys.max()})")
-    packed = _pack(keys)
+            f"cloud spans {rel.max() + _KEY_BOUND + 1} voxels along one axis "
+            f"at voxel size {voxel_size:g} m; packed voxel keys hold 2^21 "
+            f"per axis (+/-2^20 around the cloud)")
+    packed = _pack(rel)
     order = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0], packed))
     sorted_keys = packed[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    return order, starts, sorted_keys[starts]
+    first = keys[order[starts]]
+    group_keys = _pack(first) if _keys_in_range(keys) else _mix_coords(first)
+    return order, starts, group_keys
+
+
+def _mix_coords(keys):
+    """One uint64 per row of (N, 3) int64 voxel coordinates: a
+    multiply-xor chain over x, y, z, for keys too far out to pack."""
+    u = keys.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        h = u[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+        h = (h ^ u[:, 1]) * np.uint64(0xC2B2AE3D27D4EB4F)
+        h = (h ^ u[:, 2]) * np.uint64(0x165667B19E3779F9)
+    return h
 
 
 def _mix_seed(rng_seed: int, scale_index: int) -> int:
@@ -204,8 +232,9 @@ def build_partitions(cloud: PointCloud, cfg: PartitionConfig) -> PartitionSet:
 
     Scale i voxelizes only the points not claimed by scales < i, so no
     point appears in two partitions. A scale with an empty remaining
-    pool yields an empty partition. Raises CloudExtentError when a point
-    lies 2^20 or more voxels from the origin at its scale's voxel size.
+    pool yields an empty partition. Raises CloudExtentError when the
+    remaining pool spans 2^21 or more voxels along an axis at its
+    scale's voxel size.
     """
     pool = np.arange(cloud.n, dtype=np.int64)
     partitions = []

@@ -14,25 +14,33 @@ from ._kernels import knn_topk
 
 
 class EvalCounter:
-    """Shared tally of candidate distance evaluations.
+    """Shared tally of KNN queries and candidate distance evaluations.
 
     One counter is threaded through every KNN call of a pipeline run so
     the total cost of a full pass can be read off afterwards.
     """
 
-    __slots__ = ("_count", "_lock")
+    __slots__ = ("_count", "_queries", "_lock")
 
     def __init__(self):
         self._count = 0
+        self._queries = 0
         self._lock = threading.Lock()
 
-    def add(self, n):
+    def add(self, n, queries):
+        """Add n candidate evaluations, made for `queries` query points."""
         with self._lock:
             self._count += int(n)
+            self._queries += int(queries)
 
     @property
     def count(self):
+        """Candidate distance evaluations."""
         return self._count
+
+    @property
+    def queries(self):
+        return self._queries
 
 
 def counted_knn(points, queries, k, counter=None):
@@ -43,7 +51,7 @@ def counted_knn(points, queries, k, counter=None):
     """
     idx, d2 = knn_topk(points, queries, k)
     if counter is not None:
-        counter.add(queries.shape[0] * points.shape[0])
+        counter.add(queries.shape[0] * points.shape[0], queries.shape[0])
     return idx, d2
 
 
@@ -85,5 +93,5 @@ class NeighborIndex:
             raise ValueError("k must be >= 1")
         ids, d2 = knn_topk(self._points, q, int(k))
         if self._counter is not None:
-            self._counter.add(q.shape[0] * self._points.shape[0])
+            self._counter.add(q.shape[0] * self._points.shape[0], q.shape[0])
         return ids, np.sqrt(d2)

@@ -16,16 +16,25 @@ before it, which was taken earlier and so is running or done.
 Predictions are bit-identical under any schedule: all stages are pure
 functions and the store contents seen by scale i are exactly scales
 1..i-1.
+
+Cores left over go to neighbor search: each brute-force KNN call splits
+its query rows over the cores that `_kernels.idle_cores` counts as idle.
+A threaded run reserves one core per worker before any worker starts,
+and the calling thread, which only waits, lends its core. A worker gives
+its core back when it exits and lends it while it blocks on the scale
+before it, so a split never takes a core from a computing scale. A
+sequential run never touches the count: its one worker never blocks.
 """
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _cores
 from .backbone import (BackboneConfig, Prediction, decode, encode, plan_interp,
                        plan_stages)
 from .cloud import PartitionSet, PointCloud
@@ -133,14 +142,16 @@ class ScaleTiming:
     scale: int
     n_points: int
     n_coarse: int
+    plan_ms: float
     encode_ms: float
     fuse_ms: float
     decode_ms: float
+    knn_queries: int
     distance_evals: int
 
     @property
     def duration_ms(self):
-        return self.encode_ms + self.fuse_ms + self.decode_ms
+        return self.plan_ms + self.encode_ms + self.fuse_ms + self.decode_ms
 
 
 @dataclass
@@ -164,9 +175,10 @@ class TimingReport:
         arrivals = [0.0] * len(cum) if arrivals_ms is None else arrivals_ms
         return [{"scale": s.scale, "n_points": s.n_points,
                  "n_coarse": s.n_coarse, "arrival_ms": float(a),
-                 "encode_ms": s.encode_ms, "fuse_ms": s.fuse_ms,
-                 "decode_ms": s.decode_ms, "cumulative_ms": c,
-                 "completion_ms": f, "pipelined_ms": i,
+                 "plan_ms": s.plan_ms, "encode_ms": s.encode_ms,
+                 "fuse_ms": s.fuse_ms, "decode_ms": s.decode_ms,
+                 "cumulative_ms": c, "completion_ms": f, "pipelined_ms": i,
+                 "knn_queries": s.knn_queries,
                  "distance_evals": s.distance_evals}
                 for s, a, c, f, i in zip(self.scales, arrivals, cum, comp, ind)]
 
@@ -174,12 +186,16 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # execution
 
-def _cores():
-    """Cores this process may run on."""
+def _wait_lending(event):
+    """Wait for `event`; a wait that blocks lends this thread's core to
+    the KNN splits of other threads until it returns."""
+    if event.is_set():
+        return
+    _kernels.idle_cores.release(1)
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        event.wait()
+    finally:
+        _kernels.idle_cores.reserve(1)
 
 
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
@@ -193,7 +209,8 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
     stays in scale order and no later scale waits forever. A failing
     scale sets `failed` first, so every later scale sees it once its wait
     returns and stops before fusing into a store that lacks the failed
-    scale.
+    scale. In a sequential run `ready[i - 1]` is always set already, so
+    no wait blocks and the idle-core count is never touched.
     """
     try:
         backbone_cfg = cfg.backbone
@@ -201,15 +218,16 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         n = part_pos.shape[0]
         if n == 0:
             out_preds[i] = Prediction(np.zeros((0, backbone_cfg.num_classes)))
-            out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0)
+            out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0)
             return
         t0 = time.perf_counter()
         stages = plan_stages(part_pos, base_voxel, backbone_cfg, counter)
+        tp = time.perf_counter()
         fm, _ = encode(model, part_pos, part_feats, stages, scale_id=i + 1,
                        need_cache=False)
         t1 = time.perf_counter()
         if i > 0:
-            ready[i - 1].wait()
+            _wait_lending(ready[i - 1])
             if failed.is_set():
                 return
         fuse_ms = 0.0
@@ -223,19 +241,21 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         ready[i].set()
         t2 = time.perf_counter()
         interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
+        ti = time.perf_counter()
         pred, _ = decode(model, fused, part_pos, backbone_cfg, interp,
                          need_cache=False)
         t3 = time.perf_counter()
         out_preds[i] = pred
-        out_timings[i] = ScaleTiming(i + 1, n, fm.n, (t1 - t0) * 1e3, fuse_ms,
-                                     (t3 - t2) * 1e3, counter.count)
+        out_timings[i] = ScaleTiming(
+            i + 1, n, fm.n, (tp - t0 + ti - t2) * 1e3, (t1 - tp) * 1e3,
+            fuse_ms, (t3 - ti) * 1e3, counter.queries, counter.count)
     except Exception:
         failed.set()
         raise
     finally:
         if not ready[i].is_set():
             if i > 0:
-                ready[i - 1].wait()
+                _wait_lending(ready[i - 1])
             ready[i].set()
 
 
@@ -245,7 +265,10 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
 
     threaded only chooses the worker count: min(num_scales, cores) when
     set, else 1. One worker is the calling thread itself; with more, the
-    calling thread only waits for them. Each worker takes the lowest
+    calling thread only waits for them and lends its core to their KNN
+    splits. Every worker's core is reserved before the first starts; a
+    worker lends its core while it blocks on the scale before it and
+    gives it back when it exits. Each worker takes the lowest
     scale not yet started and runs it to the end; once any scale has
     failed, no worker takes another, and the lowest failed scale's error
     is raised here. The store that scale i fuses with is exactly scales
@@ -282,16 +305,29 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
             except Exception as exc:  # re-raised below, in the caller
                 errors[i] = exc
 
+    def work_on_own_core():
+        try:
+            work()
+        finally:
+            _kernels.idle_cores.release(1)
+
     num_workers = min(s, _cores()) if threaded else 1
     if num_workers <= 1:
         work()
     else:
-        workers = [threading.Thread(target=work, name=f"scaleseg-worker-{k + 1}")
+        # The caller only waits, so it lends its core, and each worker
+        # holds one until it exits. Every worker's core is reserved before
+        # the first starts, so no KNN splits onto a core a later worker
+        # is about to need.
+        _kernels.idle_cores.reserve(num_workers - 1)
+        workers = [threading.Thread(target=work_on_own_core,
+                                    name=f"scaleseg-worker-{k + 1}")
                    for k in range(num_workers)]
         for w in workers:
             w.start()
         for w in workers:
             w.join()
+        _kernels.idle_cores.reserve(1)
     # the lowest failed scale's error is the root cause
     for exc in errors:
         if exc is not None:
@@ -304,6 +340,8 @@ class BaselineResult:
     prediction: Prediction
     n_points: int
     wall_ms: float
+    plan_ms: float
+    knn_queries: int
     distance_evals: int
     upto_scale: int
 
@@ -321,5 +359,7 @@ def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
     """
     one = parts.union(upto_scale)
     preds, report = run_pipeline([model], cloud, one, cfg)
+    [timing] = report.scales
     return BaselineResult(preds[0], one.sizes[0], report.total_ms,
-                          report.total_distance_evals, upto_scale)
+                          timing.plan_ms, timing.knn_queries,
+                          timing.distance_evals, upto_scale)

@@ -139,10 +139,11 @@ def test_cloud_beyond_voxel_key_range_is_input_error(tmp_path, capsys):
 
 
 def test_bench_baseline_beyond_voxel_key_range_is_input_error(tmp_path, capsys):
-    # every point is in range at 0.16 m, where scale 1 claims them all,
-    # but the baseline's second encoder stage pools at 2 * 0.06 m
+    # the cloud spans 1.9M voxels at 0.16 m, where scale 1 claims every
+    # point, but 2.5M at 0.12 m, where the baseline's second encoder
+    # stage pools
     scene = tmp_path / "far.xyz"
-    scene.write_text("0 0 0 0 0 0\n0.5 0 0 0 0 0\n150000 0 0 10 10 10\n")
+    scene.write_text("0 0 0 0 0 0\n0.5 0 0 0 0 0\n300000 0 0 10 10 10\n")
     assert run(["partition", "--in", str(scene)]) == 0
     capsys.readouterr()
     assert run(["bench", "--in", str(scene), "--classes", "3"]) == 2
@@ -499,6 +500,12 @@ def test_bench_reports_ratios(capsys):
     assert ratio["predicted_ratio"] == gain["reduction_ratio"]
     assert ratio["measured_ratio"] == (scalable["distance_evals"]
                                        / base["distance_evals"])
+    assert base["distance_evals"] > base["knn_queries"] > 0
+    assert 0 < base["plan_ms"] < base["wall_ms"]
+    for rec in _of_kind(out, "scale"):
+        assert rec["distance_evals"] > rec["knn_queries"] > 0
+        assert rec["plan_ms"] > 0
+    assert "Plan(ms)" in out
 
 
 def test_internal_error_maps_to_4(monkeypatch):

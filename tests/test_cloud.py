@@ -147,12 +147,17 @@ def test_sparse_cloud_warns():
 
 
 def test_cloud_beyond_key_range_rejected():
-    pos = np.array([[0.0, 0.0, 0.0], [-1e6, 0.0, 0.0]])
+    # 3M voxels across at 0.5 m; 1.5M at 1 m, where the far point lies
+    # beyond 2^20 voxels from the origin but the extent fits 2^21
+    pos = np.array([[0.0, 0.0, 0.0], [-1.5e6, 0.0, 0.0]])
     cloud = PointCloud(pos, np.zeros((2, 3)))
     with pytest.raises(CloudExtentError, match="voxel size 0.5 m"):
         build_partitions(cloud, PartitionConfig(voxel_sizes=(0.5,)))
-    # at 1 m the same cloud fits inside the key range
     assert build_partitions(cloud, PartitionConfig(voxel_sizes=(1.0,))).sizes == (2,)
+    # coordinates too large for int64 voxel keys are rejected, not wrapped
+    huge = PointCloud(np.full((1, 3), 1e300), np.zeros((1, 3)))
+    with pytest.raises(CloudExtentError, match="2\\^62"):
+        build_partitions(huge, PartitionConfig(voxel_sizes=(1.0,)))
 
 
 def test_gather_bounds_checked():

@@ -1,4 +1,7 @@
+import threading
+
 import numpy as np
+import pytest
 
 from scaleseg import _kernels
 from scaleseg._kernels import knn_topk
@@ -18,15 +21,48 @@ def brute_reference(points, queries, k):
     return ids, out
 
 
-def _assert_matches_reference(points, queries, k, label):
+SPARE = 3  # spare cores a forced split may claim
+
+
+def _split_knn(mp, points, queries, k):
+    """knn_topk with every call of two or more blocks split over
+    min(blocks, 1 + SPARE) spans; checks the spans and the core count."""
+    mp.setattr(_kernels, "_SPLIT_PAIRS", 1)
+    mp.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
+    rows, spans = _kernels._topk_rows, []
+
+    def spy(pcols, qcols, k, lo, hi, *out):
+        spans.append((lo, hi))
+        return rows(pcols, qcols, k, lo, hi, *out)
+
+    mp.setattr(_kernels, "_topk_rows", spy)
+    result = knn_topk(points, queries, k)
+    nq, step = queries.shape[0], _kernels._CHUNK_ROWS
+    spans.sort()
+    assert len(spans) == min(-(-nq // step), 1 + SPARE)
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert spans[0][0] == 0 and spans[-1][1] == nq
+    assert all(lo % step == 0 for lo, _ in spans)
+    assert _kernels.idle_cores.idle == SPARE
+    return result
+
+
+def _assert_bytes_equal(got, want, label):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, label
+        assert a.tobytes() == b.tobytes(), label
+
+
+def _assert_matches_reference(points, queries, k, label, monkeypatch=None):
     ids, d2 = knn_topk(points, queries, k)
-    ref_ids, ref_d2 = brute_reference(points, queries, k)
-    assert np.array_equal(ids, ref_ids), label
-    assert d2.dtype == ref_d2.dtype and d2.shape == ref_d2.shape, label
-    assert d2.tobytes() == ref_d2.tobytes(), label
+    _assert_bytes_equal((ids, d2), brute_reference(points, queries, k), label)
+    if monkeypatch is not None:
+        with monkeypatch.context() as mp:
+            split = _split_knn(mp, points, queries, k)
+        _assert_bytes_equal(split, (ids, d2), f"{label}, split")
 
 
-def test_knn_matches_brute_reference():
+def test_knn_matches_brute_reference(monkeypatch):
     rng = np.random.default_rng(0)
     for trial in range(20):
         m = int(rng.integers(1, 60))
@@ -37,14 +73,15 @@ def test_knn_matches_brute_reference():
         _assert_matches_reference(points, queries, k, f"normal trial {trial}")
     # Coordinates on a 0.1 lattice make many distances tie exactly; up to
     # 129 queries span up to five query chunks, and every fourth trial
-    # asks for k >= M.
+    # asks for k >= M. Each trial also runs split over up to four spans.
     for trial in range(40):
         m = int(rng.integers(1, 300))
         q = int(rng.integers(1, 130))
         k = m + int(rng.integers(0, 3)) if trial % 4 == 0 else int(rng.integers(1, 12))
         points = np.round(rng.uniform(-1.0, 1.0, size=(m, 3)), 1)
         queries = np.round(rng.uniform(-1.0, 1.0, size=(q, 3)), 1)
-        _assert_matches_reference(points, queries, k, f"lattice trial {trial}")
+        _assert_matches_reference(points, queries, k, f"lattice trial {trial}",
+                                  monkeypatch)
 
 
 def test_collinear_oracle():
@@ -74,17 +111,61 @@ def test_k_clamped_to_point_count():
 
 
 def test_numpy_chunking_invariant(monkeypatch):
-    # answers must not depend on the chunk boundary
+    # answers must not depend on the chunk or span boundaries
     rng = np.random.default_rng(5)
     points = rng.normal(size=(50, 3))
     for nq in (33, 70):  # neither is a multiple of either chunk size
         queries = rng.normal(size=(nq, 3))
-        whole_ids, whole_d2 = knn_topk(points, queries, 4)
-        with monkeypatch.context() as mp:
-            mp.setattr(_kernels, "_CHUNK_ROWS", 3)
-            small_ids, small_d2 = knn_topk(points, queries, 4)
-        assert np.array_equal(whole_ids, small_ids)
-        assert np.array_equal(whole_d2, small_d2)
+        whole = knn_topk(points, queries, 4)
+        for chunk in (_kernels._CHUNK_ROWS, 3):
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels, "_CHUNK_ROWS", chunk)
+                small = knn_topk(points, queries, 4)
+                split = _split_knn(mp, points, queries, 4)
+            _assert_bytes_equal(small, whole, f"nq {nq}, chunk {chunk}")
+            _assert_bytes_equal(split, whole, f"nq {nq}, chunk {chunk}, split")
+
+
+@pytest.mark.parametrize("failing_lo", [0, 32], ids=["caller", "helper"])
+def test_split_span_error_reaches_caller(monkeypatch, failing_lo):
+    # four spans of one block each; the failing one raises in the caller
+    # only after every span has run, and the claimed cores come back
+    monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", 1)
+    monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
+    rows, ran = _kernels._topk_rows, []
+
+    def flaky(pcols, qcols, k, lo, hi, *out):
+        ran.append(lo)
+        if lo == failing_lo:
+            raise RuntimeError(f"span at row {lo} failed")
+        return rows(pcols, qcols, k, lo, hi, *out)
+
+    monkeypatch.setattr(_kernels, "_topk_rows", flaky)
+    rng = np.random.default_rng(6)
+    with pytest.raises(RuntimeError, match=f"span at row {failing_lo} failed"):
+        knn_topk(rng.normal(size=(40, 3)), rng.normal(size=(128, 3)), 3)
+    assert sorted(ran) == [0, 32, 64, 96]
+    assert _kernels.idle_cores.idle == SPARE
+    assert not [t for t in threading.enumerate() if t.name == "scaleseg-knn"]
+
+
+@pytest.mark.parametrize("split_pairs, idle, nq", [
+    (1, 0, 100),
+    (1, -2, 100),
+    (_kernels._SPLIT_PAIRS, SPARE, 1000),  # 1000 x 1000 < 2^20 pairs
+], ids=["no-spare-core", "oversubscribed", "too-few-pairs"])
+def test_unsplit_call_starts_no_thread(monkeypatch, split_pairs, idle, nq):
+    monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", split_pairs)
+    monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(idle))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("an unsplit knn_topk call started a thread")
+
+    monkeypatch.setattr(_kernels.threading, "Thread", no_thread)
+    rng = np.random.default_rng(7)
+    ids, _ = knn_topk(rng.normal(size=(1000, 3)), rng.normal(size=(nq, 3)), 4)
+    assert ids.shape == (nq, 4)
+    assert _kernels.idle_cores.idle == idle
 
 
 def test_eval_counter_accounting():
@@ -93,9 +174,9 @@ def test_eval_counter_accounting():
     queries = rng.normal(size=(21, 3))
     counter = EvalCounter()
     counted_knn(points, queries, 3, counter=counter)
-    assert counter.count == 37 * 21
+    assert (counter.count, counter.queries) == (37 * 21, 21)
     counted_knn(points, queries, 3, counter=counter)
-    assert counter.count == 2 * 37 * 21
+    assert (counter.count, counter.queries) == (2 * 37 * 21, 2 * 21)
 
 
 def test_neighbor_index_mirrors_counter():
@@ -106,7 +187,7 @@ def test_neighbor_index_mirrors_counter():
     index = NeighborIndex(points, counter=shared)
     ids, dist = index.knn_batch(queries, 4)
     assert ids.shape == (10, 4) and dist.shape == (10, 4)
-    assert shared.count == 40 * 10
+    assert (shared.count, shared.queries) == (40 * 10, 10)
     # distances are euclidean, ascending
     assert np.all(np.diff(dist, axis=1) >= 0)
     ref_ids, ref_d2 = brute_reference(points, queries, 4)
@@ -121,11 +202,11 @@ def test_counter_thread_safety():
 
     def bump():
         for _ in range(10_000):
-            counter.add(1)
+            counter.add(3, 1)
 
     threads = [threading.Thread(target=bump) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert counter.count == 40_000
+    assert (counter.count, counter.queries) == (120_000, 40_000)

@@ -2,13 +2,15 @@ import hashlib
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from scaleseg import pipeline
+from scaleseg import _kernels, pipeline
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
-from scaleseg.cloud import PartitionConfig, build_partitions
+from scaleseg.cloud import (PartitionConfig, PointCloud, build_partitions,
+                            gather, voxel_keys)
 from scaleseg.pipeline import (
     ComplexityEstimate,
     PipelineConfig,
@@ -122,13 +124,17 @@ def test_run_pipeline_report_fields_and_coverage():
         assert pred.labels.shape == (size,)
     records = report.records()
     assert len(records) == parts.num_scales
-    expected_keys = ["scale", "n_points", "n_coarse", "arrival_ms",
+    expected_keys = ["scale", "n_points", "n_coarse", "arrival_ms", "plan_ms",
                      "encode_ms", "fuse_ms", "decode_ms", "cumulative_ms",
-                     "completion_ms", "pipelined_ms", "distance_evals"]
+                     "completion_ms", "pipelined_ms", "knn_queries",
+                     "distance_evals"]
     for rec in records:
         assert list(rec.keys()) == expected_keys
     assert [r["n_points"] for r in records] == list(parts.sizes)
-    assert all(r["distance_evals"] > 0 for r in records)
+    assert all(r["distance_evals"] > r["knn_queries"] > 0 for r in records)
+    assert all(r["plan_ms"] > 0 for r in records)
+    for s in report.scales:
+        assert s.duration_ms == s.plan_ms + s.encode_ms + s.fuse_ms + s.decode_ms
     cms = [r["cumulative_ms"] for r in records]
     assert all(b >= a for a, b in zip(cms, cms[1:]))
     assert report.total_distance_evals == sum(r["distance_evals"] for r in records)
@@ -147,8 +153,12 @@ def _set_cores(monkeypatch, cores):
 def test_run_pipeline_threaded_matches_sequential(monkeypatch, cores):
     _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=3)
+    idle = _kernels.idle_cores.idle
     seq, _ = run_pipeline(models, cloud, parts, pcfg)
+    assert _kernels.idle_cores.idle == idle
     thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    # every core a run reserved or lent has come back
+    assert _kernels.idle_cores.idle == idle
     for a, b in zip(seq, thr):
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.labels, b.labels)
@@ -215,10 +225,12 @@ def test_threaded_failure_stops_later_scales(monkeypatch, cores):
     _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=4)
     calls = _spy_stages(monkeypatch)
+    idle = _kernels.idle_cores.idle
     broken = ScaleModel(dict(models[0].params))
     del broken.params["att0_wq"]
     error = _threaded_run([broken] + models[1:], cloud, parts, pcfg)
     assert isinstance(error, KeyError)
+    assert _kernels.idle_cores.idle == idle
     assert [c for c in calls if c[0] == "fuse"] == []
     # a failed run starts no further scale: only the scales the workers
     # took before scale 1 failed encode (scale 1 alone on one core)
@@ -230,6 +242,7 @@ def test_threaded_failure_stops_later_scales(monkeypatch, cores):
     error = _threaded_run([models[0], broken] + models[2:], cloud, parts, pcfg)
     assert isinstance(error, KeyError)
     assert [c for c in calls if c[0] == "decode"] == [("decode", 1)]
+    assert _kernels.idle_cores.idle == idle
 
 
 def test_sequential_failure_stops_later_scales(monkeypatch):
@@ -237,11 +250,13 @@ def test_sequential_failure_stops_later_scales(monkeypatch):
     # no later scale starts, and scale 1's error is raised
     cloud, parts, pcfg, models = make_setup(seed=4)
     calls = _spy_stages(monkeypatch)
+    idle = _kernels.idle_cores.idle
     broken = ScaleModel(dict(models[0].params))
     del broken.params["att0_wq"]
     with pytest.raises(KeyError):
         run_pipeline([broken] + models[1:], cloud, parts, pcfg)
     assert _encoded(calls) == [1]
+    assert _kernels.idle_cores.idle == idle
 
     calls.clear()
     broken = ScaleModel(dict(models[1].params))
@@ -255,7 +270,7 @@ def test_sequential_failure_stops_later_scales(monkeypatch):
 @pytest.mark.parametrize("threaded, cores", [(False, 4), (True, 1)])
 def test_one_worker_runs_on_the_calling_thread(monkeypatch, threaded, cores):
     # sequential, or threaded on one core: the caller runs every scale
-    # itself and no thread is started
+    # itself, no thread is started and no core is reserved or lent
     _set_cores(monkeypatch, cores)
     cloud, parts, pcfg, models = make_setup(seed=3)
     threads = set()
@@ -268,8 +283,12 @@ def test_one_worker_runs_on_the_calling_thread(monkeypatch, threaded, cores):
     def no_thread(*args, **kwargs):
         raise AssertionError("a one-worker run started a thread")
 
+    def no_reserve(n):
+        raise AssertionError("a one-worker run reserved a core")
+
     monkeypatch.setattr(pipeline, "encode", spy_encode)
     monkeypatch.setattr(pipeline.threading, "Thread", no_thread)
+    monkeypatch.setattr(_kernels.idle_cores, "reserve", no_reserve)
     preds, report = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
     assert threads == {threading.current_thread()}
     assert len(preds) == len(report.scales) == parts.num_scales
@@ -277,7 +296,9 @@ def test_one_worker_runs_on_the_calling_thread(monkeypatch, threaded, cores):
 
 def test_threaded_stress_runs_each_scale_once(monkeypatch):
     # more workers than cores, and a thread switch every microsecond: a
-    # scale taken twice or never shows as a wrong encode list or a hang
+    # scale taken twice or never shows as a wrong encode list or a hang,
+    # and a lost update to the idle-core count as a count that does not
+    # come back, while every KNN call with a core to claim splits
     voxels = (0.6, 0.45, 0.35, 0.25, 0.18, 0.12)
     cloud, _, pcfg, _ = make_setup(n_points=3000, seed=5)
     parts = build_partitions(cloud, PartitionConfig(voxel_sizes=voxels,
@@ -287,6 +308,8 @@ def test_threaded_stress_runs_each_scale_once(monkeypatch):
     assert min(parts.sizes) > 0
     seq, _ = run_pipeline(models, cloud, parts, pcfg)
     _set_cores(monkeypatch, len(voxels))
+    monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", 1)
+    monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(2))
     calls = _spy_stages(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -297,6 +320,7 @@ def test_threaded_stress_runs_each_scale_once(monkeypatch):
             assert _encoded(calls) == list(range(1, len(voxels) + 1))
             for a, b in zip(seq, thr):
                 assert np.array_equal(a.logits, b.logits)
+            assert _kernels.idle_cores.idle == 2
     finally:
         sys.setswitchinterval(interval)
 
@@ -344,6 +368,69 @@ def test_threaded_runs_at_most_one_scale_per_worker(monkeypatch):
     assert not running
 
 
+def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
+    # on 2 cores both workers hold a core from the start: no KNN call may
+    # split while scales 1 and 2 both plan and encode, however large
+    _set_cores(monkeypatch, 2)
+    pool = _kernels.CorePool(1)
+    monkeypatch.setattr(_kernels, "idle_cores", pool)
+    monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", 1)
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    lock = threading.Lock()
+    encoding, claims = set(), []
+    run_scale, encode, claim = pipeline._run_scale, pipeline.encode, pool.claim
+
+    def spy_run_scale(i, *args):
+        with lock:
+            encoding.add(i + 1)
+        return run_scale(i, *args)
+
+    def spy_encode(*args, scale_id, **kwargs):
+        try:
+            return encode(*args, scale_id=scale_id, **kwargs)
+        finally:
+            with lock:
+                encoding.discard(scale_id)
+
+    def spy_claim(want):
+        got = claim(want)
+        with lock:
+            claims.append((frozenset(encoding), got))
+        return got
+
+    monkeypatch.setattr(pipeline, "_run_scale", spy_run_scale)
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
+    monkeypatch.setattr(pool, "claim", spy_claim)
+    run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    both = [got for running, got in claims if {1, 2} <= running]
+    assert both and not any(both)
+    assert pool.idle == 1
+
+
+def test_blocked_wait_lends_its_core(monkeypatch):
+    pool = _kernels.CorePool(0)
+    monkeypatch.setattr(_kernels, "idle_cores", pool)
+    done = threading.Event()
+    done.set()
+    pipeline._wait_lending(done)  # a wait that does not block lends nothing
+    assert pool.idle == 0
+    ready = threading.Event()
+    waiter = threading.Thread(target=pipeline._wait_lending, args=(ready,),
+                              daemon=True)
+    waiter.start()
+    try:
+        for _ in range(1000):
+            if pool.idle == 1:
+                break
+            time.sleep(0.01)
+        assert pool.idle == 1
+    finally:
+        ready.set()
+        waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    assert pool.idle == 0
+
+
 def _sha(a):
     return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
@@ -384,7 +471,8 @@ def test_run_pipeline_arrival_times():
     for rec in records:
         assert rec["pipelined_ms"] <= rec["cumulative_ms"] + 1e-9
     # records carry arrival, completion and coarse-point counts
-    durations = [r["encode_ms"] + r["fuse_ms"] + r["decode_ms"] for r in records]
+    durations = [r["plan_ms"] + r["encode_ms"] + r["fuse_ms"] + r["decode_ms"]
+                 for r in records]
     _, completion, _ = simulate_schedule(durations, arrivals)
     assert [r["arrival_ms"] for r in records] == arrivals
     assert [r["completion_ms"] for r in records] == completion
@@ -410,7 +498,8 @@ def test_run_baseline_union():
     base = run_baseline(models[-1], cloud, parts, parts.num_scales, pcfg)
     assert base.n_points == sum(parts.sizes)
     assert base.prediction.labels.shape == (base.n_points,)
-    assert base.distance_evals > 0
+    assert base.distance_evals > base.knn_queries > 0
+    assert 0 < base.plan_ms < base.wall_ms
     assert base.upto_scale == parts.num_scales
     # upto=1 processes exactly the scale-1 partition
     b1 = run_baseline(models[0], cloud, parts, 1, pcfg)
@@ -433,6 +522,28 @@ def test_run_baseline_predictions_golden(seed, upto, expected):
     assert (base.n_points, base.distance_evals, _sha(base.prediction.labels),
             _sha(base.prediction.logits)) == expected
     assert base.upto_scale == upto
+
+
+def test_pipeline_on_real_world_coordinates():
+    # a UTM-like tile: seed 11's scene moved 500 km east lies 3-8M voxels
+    # from the origin at the default voxel sizes, but spans few of them
+    _, _, pcfg, models = make_setup()
+    scene = generate_scene(SceneSpec(num_points=3000, num_classes=5, rng_seed=11))
+    cloud = PointCloud(scene.positions + [500_000.0, 0.0, 0.0], scene.colors,
+                       scene.labels, scene.num_classes)
+    cfg = PartitionConfig(rng_seed=11)
+    with pytest.warns(UserWarning, match="not strictly increasing"):
+        parts = build_partitions(cloud, cfg)
+    allidx = np.concatenate(parts.partitions)
+    assert len(np.unique(allidx)) == len(allidx)
+    for p, v in zip(parts.partitions, cfg.voxel_sizes):
+        keys = voxel_keys(gather(cloud, p), v)
+        assert keys[:, 0].min() > 1 << 20
+        assert len(np.unique(keys, axis=0)) == len(keys)
+    preds, _ = run_pipeline(models, cloud, parts, pcfg)
+    for pred, size in zip(preds, parts.sizes):
+        assert pred.labels.shape == (size,)
+        assert np.all(np.isfinite(pred.logits))
 
 
 def test_single_scale_pipeline_degenerate():
