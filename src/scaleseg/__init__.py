@@ -32,13 +32,11 @@ from .io import CloudFormatError, read_cloud, write_cloud
 from .knn import EvalCounter, NeighborIndex, counted_knn
 from .metrics import ConfusionMatrix, compute_metrics
 from .pipeline import (
-    BaselineResult,
     ComplexityEstimate,
     PipelineConfig,
     ScaleTiming,
     TimingReport,
     estimate_gain,
-    run_baseline,
     run_pipeline,
     simulate_schedule,
 )
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackboneConfig",
-    "BaselineResult",
     "CheckpointFormatError",
     "CloudExtentError",
     "CloudFormatError",
@@ -84,7 +81,6 @@ __all__ = [
     "plan_stages",
     "load_checkpoint",
     "read_cloud",
-    "run_baseline",
     "run_pipeline",
     "save_checkpoint",
     "simulate_schedule",

@@ -62,7 +62,8 @@ class CorePool:
         return self._idle
 
     def claim(self, want):
-        """Take up to `want` idle cores without blocking; returns how many."""
+        """Take up to `want` idle cores without blocking; returns how many
+        (none when `want` is 0 or less)."""
         with self._lock:
             got = max(0, min(want, self._idle))
             self._idle -= got
@@ -103,11 +104,8 @@ def knn_topk(points, queries, k):
     cols = ([np.ascontiguousarray(points[:, j]) for j in range(3)],
             [np.ascontiguousarray(queries[:, j : j + 1]) for j in range(3)])
     blocks = -(-nq // _CHUNK_ROWS)
-    want = min(blocks, nq * m // _SPLIT_PAIRS) - 1
-    helpers = idle_cores.claim(want) if want > 0 else 0
-    if not helpers:
-        _topk_rows(*cols, k, 0, nq, *out)
-        return out
+    # with no helper claimed there is one span, [0, nq), and no thread
+    helpers = idle_cores.claim(min(blocks, nq * m // _SPLIT_PAIRS) - 1)
     edges = [min(blocks * s // (helpers + 1) * _CHUNK_ROWS, nq)
              for s in range(helpers + 2)]
     errors = []

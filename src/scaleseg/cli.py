@@ -27,7 +27,6 @@ from .io import CloudFormatError, read_cloud, write_cloud
 from .pipeline import (
     PipelineConfig,
     estimate_gain,
-    run_baseline,
     run_pipeline,
     simulate_schedule,
 )
@@ -113,6 +112,8 @@ def _load_scenes(args, cfg, part_cfg):
             clouds.append(read_cloud(path.strip()))
     else:
         count = cfgmod.as_int(cfg, "scenes", 2)
+        if count < 1:
+            raise ConfigError(f"scenes must be >= 1, got {count}")
         for i in range(count):
             clouds.append(generate_scene(_scene_spec(cfg, seed + i)))
     if any(c.labels is None for c in clouds):
@@ -125,12 +126,15 @@ def _load_scenes(args, cfg, part_cfg):
     return [(c, build_partitions(c, part_cfg)) for c in clouds], classes.pop()
 
 
-def _require_points(scenes, part_cfg, scale_id):
-    """A scale that no input scene has points at is an input error."""
-    if all(p.sizes[scale_id - 1] == 0 for _, p in scenes):
+def _require_points(scenes, scale_id):
+    """A scale that no input scene has points at is an input error. The
+    baseline, scale id 0, runs on scenes of one partition, the union."""
+    i = max(scale_id - 1, 0)
+    if all(p.sizes[i] == 0 for _, p in scenes):
+        where = f"at scale {scale_id}" if scale_id else "for the baseline"
         raise CloudFormatError(
-            f"no input has points at scale {scale_id} (voxel size "
-            f"{part_cfg.voxel_sizes[scale_id - 1]})")
+            f"no input has points {where} (voxel size "
+            f"{scenes[0][1].voxel_sizes[i]})")
 
 
 def _model_path(models_dir, scale_id):
@@ -257,7 +261,7 @@ def cmd_generate(args):
     if not args.out:
         raise ConfigError("generate requires --out")
     cloud = generate_scene(_scene_spec(cfg, _seed(cfg)))
-    write_cloud(cloud, args.out, fmt=args.format)
+    write_cloud(cloud, args.out)
     print(f"wrote {cloud.n} points, {cloud.num_classes} classes -> {args.out}")
     return 0
 
@@ -289,34 +293,32 @@ def cmd_train(args):
     os.makedirs(args.models, exist_ok=True)
     extras = {"k_fuse": pcfg.k_fuse,
               "voxel_sizes": ",".join(map(repr, part_cfg.voxel_sizes))}
-
     if args.baseline:
-        # whole-cloud reference: one "scale" holding the union of all
-        # partitions, pooled from the finest voxel size
-        union_scenes = [(c, p.union()) for c, p in scenes]
-        model = _fresh_model(pcfg, 0, seed)
-        losses = train_scale([model], 1, union_scenes, pcfg, tcfg)
-        path = _model_path(args.models, 0)
-        save_checkpoint(path, model.params, pcfg.backbone, frozen=True,
-                        extras=dict(extras, role="baseline"))
+        # the whole-cloud baseline is scale id 0: one "scale" holding the
+        # union of all partitions, pooled from the finest voxel size, with
+        # no lower scales to load
+        scale_id = 0
+        scenes = [(c, p.union()) for c, p in scenes]
+        extras["role"] = "baseline"
     else:
         scale_id = args.scale
         num_scales = part_cfg.num_scales
         if not 1 <= scale_id <= num_scales:
             raise ConfigError(f"--scale must lie in 1..{num_scales}")
-        _require_points(scenes, part_cfg, scale_id)
-        models, _ = _load_models(args.models, range(1, scale_id),
-                                 part_cfg.voxel_sizes, pcfg)
-        for j, model in enumerate(models, start=1):
-            if not model.frozen:
-                raise CheckpointFormatError(
-                    f"scale {j} checkpoint is not frozen; train scales in order")
-        trainee = _fresh_model(pcfg, scale_id, seed)
-        models.append(trainee)
-        losses = train_scale(models, scale_id, scenes, pcfg, tcfg)
-        path = _model_path(args.models, scale_id)
-        save_checkpoint(path, trainee.params, pcfg.backbone, frozen=True,
-                        extras=dict(extras, role="scale", scale_id=scale_id))
+        extras.update(role="scale", scale_id=scale_id)
+    _require_points(scenes, scale_id)
+    models, _ = _load_models(args.models, range(1, scale_id),
+                             part_cfg.voxel_sizes, pcfg)
+    for j, model in enumerate(models, start=1):
+        if not model.frozen:
+            raise CheckpointFormatError(
+                f"scale {j} checkpoint is not frozen; train scales in order")
+    trainee = _fresh_model(pcfg, scale_id, seed)
+    losses = train_scale(models + [trainee], len(models) + 1, scenes, pcfg,
+                         tcfg)
+    path = _model_path(args.models, scale_id)
+    save_checkpoint(path, trainee.params, pcfg.backbone, frozen=True,
+                    extras=extras)
 
     lines = [_record("epoch", epoch=e, loss=loss)
              for e, loss in enumerate(losses, start=1)]
@@ -365,23 +367,24 @@ def cmd_bench(args):
     else:
         cloud = generate_scene(_scene_spec(cfg, seed))
     part_cfg = _partition_config(cfg)
-    scale_ids = range(1, part_cfg.num_scales + 1)
+    # the scales, then the whole-cloud baseline (scale id 0)
+    scale_ids = [*range(1, part_cfg.num_scales + 1), 0]
     if args.models:
         models, pcfg = _load_models(args.models, scale_ids, part_cfg.voxel_sizes)
-        [baseline], _ = _load_models(args.models, [0], part_cfg.voxel_sizes, pcfg)
     else:
         num_classes = cloud.num_classes if cloud.num_classes >= 2 else \
             _scene_spec(cfg, seed).num_classes
         pcfg = _pipeline_config(cfg, num_classes)
         models = [_fresh_model(pcfg, i, seed) for i in scale_ids]
-        baseline = _fresh_model(pcfg, 0, seed)
+    *models, baseline = models
     parts = build_partitions(cloud, part_cfg)
     _, report = run_pipeline(models, cloud, parts, pcfg,
                              threaded=args.threaded)
-    base = run_baseline(baseline, cloud, parts, parts.num_scales, pcfg)
+    _, base_report = run_pipeline([baseline], cloud, parts.union(), pcfg)
+    [base] = base_report.scales
     lines = _scale_lines(report)
     lines.append(_record("baseline", n_points=base.n_points,
-                         wall_ms=base.wall_ms, plan_ms=base.plan_ms,
+                         wall_ms=base.duration_ms, plan_ms=base.plan_ms,
                          knn_queries=base.knn_queries,
                          distance_evals=base.distance_evals))
     scalable_evals = report.total_distance_evals
@@ -403,7 +406,7 @@ def cmd_eval(args):
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
     scale_ids = range(1, part_cfg.num_scales + 1)
     for scale_id in scale_ids:
-        _require_points(scenes, part_cfg, scale_id)
+        _require_points(scenes, scale_id)
     models, pcfg = _load_models(args.models, scale_ids, part_cfg.voxel_sizes)
     if pcfg.backbone.num_classes != num_classes:
         raise CloudFormatError(
@@ -422,21 +425,16 @@ def cmd_eval(args):
 
 
 def cmd_gain(args):
-    cfg = _merge_config(args)
-    if args.sizes:
-        try:
-            sizes = [int(t) for t in args.sizes.split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"--sizes: expected integers, got {args.sizes!r}") from None
-        if not sizes or any(s <= 0 for s in sizes):
-            raise ConfigError("--sizes: partition sizes must be positive")
-    elif args.infile:
-        cloud = read_cloud(args.infile)
-        parts = build_partitions(cloud, _partition_config(cfg))
-        sizes = [n for n in parts.sizes]
-    else:
-        raise ConfigError("gain requires --sizes or --in")
+    _merge_config(args)  # a bad --config file is an error here too
+    if not args.sizes:
+        raise ConfigError("gain requires --sizes")
+    try:
+        sizes = [int(t) for t in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--sizes: expected integers, got {args.sizes!r}") from None
+    if not sizes or any(s <= 0 for s in sizes):
+        raise ConfigError("--sizes: partition sizes must be positive")
     _emit([_gain_record(estimate_gain(sizes))], args.out)
     return 0
 
@@ -466,7 +464,6 @@ def build_parser():
     g.add_argument("--extents", help="room extents, e.g. 8,8,3")
     g.add_argument("--noise", help="color noise sigma")
     g.add_argument("--no-walls", action="store_true")
-    g.add_argument("--format", choices=("binary", "ascii"))
     g.set_defaults(fn=cmd_generate)
 
     q = sub.add_parser("partition", parents=[common],
@@ -530,8 +527,6 @@ def build_parser():
     n = sub.add_parser("gain", parents=[common],
                        help="exact complexity accounting for partition sizes")
     n.add_argument("--sizes", help="comma-separated partition sizes")
-    n.add_argument("--in", dest="infile")
-    n.add_argument("--voxel-sizes", dest="voxel_sizes")
     n.set_defaults(fn=cmd_gain)
     return p
 

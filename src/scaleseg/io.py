@@ -38,26 +38,15 @@ def _colors_to_u8(colors):
     return np.rint(colors * 255.0).astype(np.uint8)
 
 
-def _format_of(path, fmt):
-    if fmt is not None:
-        if fmt not in ("binary", "ascii"):
-            raise CloudFormatError(f"unknown format {fmt!r}")
-        return fmt
-    name = str(path).lower()
-    if name.endswith((".xyz", ".txt", ".asc")):
-        return "ascii"
-    return "binary"
-
-
-def write_cloud(cloud: PointCloud, path, fmt=None):
-    """Write a cloud; format from `fmt` or the file extension."""
-    fmt = _format_of(path, fmt)
+def write_cloud(cloud: PointCloud, path):
+    """Write a cloud: ASCII when the file name ends in .xyz, .txt or .asc
+    (any case), else binary."""
     has_labels = cloud.labels is not None
     if has_labels and cloud.labels.size and cloud.labels.max() >= 1 << 16:
         raise CloudFormatError("labels exceed the 16-bit storage range")
     if not 0 <= cloud.num_classes < 1 << 16:
         raise CloudFormatError("num_classes exceeds the 16-bit storage range")
-    if fmt == "ascii":
+    if str(path).lower().endswith((".xyz", ".txt", ".asc")):
         _write_ascii(cloud, path, has_labels)
         return
     rec = np.empty(cloud.n, dtype=_point_dtype(has_labels))

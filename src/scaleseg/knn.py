@@ -91,7 +91,5 @@ class NeighborIndex:
             raise ValueError("query points must be finite")
         if int(k) < 1:
             raise ValueError("k must be >= 1")
-        ids, d2 = knn_topk(self._points, q, int(k))
-        if self._counter is not None:
-            self._counter.add(q.shape[0] * self._points.shape[0], q.shape[0])
+        ids, d2 = counted_knn(self._points, q, int(k), self._counter)
         return ids, np.sqrt(d2)

@@ -334,32 +334,3 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
             raise exc
     return preds, TimingReport(timings)
 
-
-@dataclass
-class BaselineResult:
-    prediction: Prediction
-    n_points: int
-    wall_ms: float
-    plan_ms: float
-    knn_queries: int
-    distance_evals: int
-    upto_scale: int
-
-
-def run_baseline(model, cloud: PointCloud, parts: PartitionSet, upto_scale,
-                 cfg: PipelineConfig) -> BaselineResult:
-    """Whole-cloud single pass over the union of partitions 1..upto_scale.
-
-    The baseline is a one-scale pipeline run: `model` runs once on
-    `parts.union(upto_scale)`, pooled from the finest merged voxel size,
-    through the same `run_pipeline` code as every scale. No fusion is
-    involved; this is the "wait for all data" reference the scalable
-    pipeline is compared against. wall_ms is that scale's encode plus
-    decode time.
-    """
-    one = parts.union(upto_scale)
-    preds, report = run_pipeline([model], cloud, one, cfg)
-    [timing] = report.scales
-    return BaselineResult(preds[0], one.sizes[0], report.total_ms,
-                          timing.plan_ms, timing.knn_queries,
-                          timing.distance_evals, upto_scale)

@@ -38,7 +38,6 @@ from scaleseg.metrics import ConfusionMatrix, compute_metrics
 from scaleseg.pipeline import (
     PipelineConfig,
     estimate_gain,
-    run_baseline,
     run_pipeline,
     simulate_schedule,
 )
@@ -73,7 +72,8 @@ def bench_run():
     baseline_model = ScaleModel(init_params(bcfg, seed=99))
     t0 = time.perf_counter()
     _, report = run_pipeline(models, cloud, parts, pcfg)
-    base = run_baseline(baseline_model, cloud, parts, parts.num_scales, pcfg)
+    _, base_report = run_pipeline([baseline_model], cloud, parts.union(), pcfg)
+    [base] = base_report.scales
     elapsed = time.perf_counter() - t0
     return parts, report, base, elapsed
 

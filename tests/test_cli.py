@@ -10,7 +10,8 @@ import pytest
 from scaleseg import cli
 from scaleseg.backbone import init_params
 from scaleseg.checkpoint import load_checkpoint, save_checkpoint
-from scaleseg.io import read_cloud
+from scaleseg.cloud import PointCloud
+from scaleseg.io import read_cloud, write_cloud
 
 FAST = ["--voxel-sizes", "0.5,0.35", "--feature-dim", "8"]
 
@@ -63,8 +64,7 @@ def test_generate_requires_out():
 
 def test_generate_ascii_format(tmp_path):
     scene = tmp_path / "scene.xyz"
-    assert run(["generate", "--points", "200", "--format", "ascii",
-                "--out", str(scene)]) == 0
+    assert run(["generate", "--points", "200", "--out", str(scene)]) == 0
     assert len(scene.read_text().splitlines()) == 200
 
 
@@ -228,6 +228,27 @@ def test_train_scale_without_points_is_input_error(tmp_path, capsys):
     assert "scale 2" in err and "0.0005" in err
 
 
+def test_train_baseline_without_points_is_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.rspc"
+    write_cloud(PointCloud(np.zeros((0, 3)), np.zeros((0, 3)),
+                           np.zeros(0, dtype=np.int64), 4), empty)
+    models = tmp_path / "m"
+    assert run(["train", "--baseline", "--in", str(empty), "--models",
+                str(models), "--epochs", "1"] + FAST) == 2
+    err = capsys.readouterr().err
+    assert "baseline" in err and "scale 1" not in err
+    assert not (models / "baseline.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_zero_scenes_is_config_error(tmp_path, capsys, command):
+    argv = [command, "--models", str(tmp_path / "m"), "--scenes", "0"]
+    if command == "train":
+        argv += ["--scale", "1"]
+    assert run(argv) == 3
+    assert "scenes" in capsys.readouterr().err
+
+
 def test_train_out_writes_records_to_file(tmp_path, capsys):
     out = tmp_path / "train.txt"
     assert run(["train", "--scale", "1", "--models", str(tmp_path / "m"),
@@ -273,6 +294,8 @@ def test_bench_with_trained_models(trained, capsys):
                 "--voxel-sizes", "0.5,0.35"]) == 0
     out = capsys.readouterr().out
     [base] = _of_kind(out, "baseline")
+    # the baseline runs on the union of every scale
+    assert base["n_points"] == sum(r["n_points"] for r in _of_kind(out, "scale"))
     assert base["n_points"] > 0
     [ratio] = _of_kind(out, "ratio")
     assert ratio["measured_ratio"] > 0

@@ -49,11 +49,13 @@ def test_ascii_round_trip(tmp_path, labeled_cloud):
 def test_format_sniffing_ignores_extension(tmp_path, labeled_cloud):
     # binary payload under an ascii-ish name still reads via magic sniff
     path = tmp_path / "weird.dat"
-    write_cloud(labeled_cloud, path, fmt="binary")
+    write_cloud(labeled_cloud, path)
     back = read_cloud(path)
     assert back.n == labeled_cloud.n
+    # ascii payload under a name that would be written as binary
     path2 = tmp_path / "plain.dat"
-    write_cloud(labeled_cloud, path2, fmt="ascii")
+    write_cloud(labeled_cloud, tmp_path / "plain.xyz")
+    (tmp_path / "plain.xyz").rename(path2)
     back2 = read_cloud(path2)
     assert np.array_equal(back2.positions, labeled_cloud.positions)
 

@@ -15,7 +15,6 @@ from scaleseg.pipeline import (
     ComplexityEstimate,
     PipelineConfig,
     estimate_gain,
-    run_baseline,
     run_pipeline,
     simulate_schedule,
 )
@@ -494,16 +493,18 @@ def test_run_pipeline_model_count_checked():
 
 
 def test_run_baseline_union():
+    # the whole-cloud baseline is a one-scale run on the union of the scales
     cloud, parts, pcfg, models = make_setup(seed=7)
-    base = run_baseline(models[-1], cloud, parts, parts.num_scales, pcfg)
+    [pred], report = run_pipeline([models[-1]], cloud, parts.union(), pcfg)
+    [base] = report.scales
     assert base.n_points == sum(parts.sizes)
-    assert base.prediction.labels.shape == (base.n_points,)
+    assert pred.labels.shape == (base.n_points,)
     assert base.distance_evals > base.knn_queries > 0
-    assert 0 < base.plan_ms < base.wall_ms
-    assert base.upto_scale == parts.num_scales
+    assert 0 < base.plan_ms < base.duration_ms == report.total_ms
+    assert base.fuse_ms == 0.0
     # upto=1 processes exactly the scale-1 partition
-    b1 = run_baseline(models[0], cloud, parts, 1, pcfg)
-    assert b1.n_points == parts.sizes[0]
+    _, r1 = run_pipeline([models[0]], cloud, parts.union(1), pcfg)
+    assert r1.scales[0].n_points == parts.sizes[0]
 
 
 # (n_points, distance_evals, sha256 prefixes of labels and logits) of the
@@ -518,10 +519,10 @@ GOLDEN_BASELINE = [
 @pytest.mark.parametrize("seed,upto,expected", GOLDEN_BASELINE)
 def test_run_baseline_predictions_golden(seed, upto, expected):
     cloud, parts, pcfg, models = make_setup(seed=seed)
-    base = run_baseline(models[-1], cloud, parts, upto, pcfg)
-    assert (base.n_points, base.distance_evals, _sha(base.prediction.labels),
-            _sha(base.prediction.logits)) == expected
-    assert base.upto_scale == upto
+    [pred], report = run_pipeline([models[-1]], cloud, parts.union(upto), pcfg)
+    [base] = report.scales
+    assert (base.n_points, base.distance_evals, _sha(pred.labels),
+            _sha(pred.logits)) == expected
 
 
 def test_pipeline_on_real_world_coordinates():
