@@ -47,7 +47,7 @@ def test_ascii_round_trip(tmp_path, labeled_cloud):
 
 
 def test_format_sniffing_ignores_extension(tmp_path, labeled_cloud):
-    # binary payload under an ascii-ish name still reads via magic sniff
+    # a binary payload under a name of no known format reads via magic sniff
     path = tmp_path / "weird.dat"
     write_cloud(labeled_cloud, path)
     back = read_cloud(path)
