@@ -231,11 +231,11 @@ def _table(headers, rows):
 def _scale_lines(report, arrivals_ms=None):
     """One scale record per scale, then the scale table."""
     headers = ["Scale", "Points", "Coarse", "Plan(ms)", "Encode(ms)",
-               "Fuse(ms)", "Decode(ms)", "Cumulative(ms)", "Pipelined(ms)",
-               "Queries", "Evals"]
+               "Fuse(ms)", "Decode(ms)", "Cumulative(ms)", "Labels(ms)",
+               "Pipelined(ms)", "Queries", "Evals"]
     keys = ["scale", "n_points", "n_coarse", "plan_ms", "encode_ms",
-            "fuse_ms", "decode_ms", "cumulative_ms", "pipelined_ms",
-            "knn_queries", "distance_evals"]
+            "fuse_ms", "decode_ms", "cumulative_ms", "labels_ms",
+            "pipelined_ms", "knn_queries", "distance_evals"]
     records = report.records(arrivals_ms)
     rows = [[rec[key] for key in keys] for rec in records]
     return ([_record("scale", **rec) for rec in records]
@@ -286,6 +286,9 @@ def cmd_train(args):
     if args.baseline == (args.scale is not None):
         raise ConfigError("train requires exactly one of --scale N and --baseline")
     part_cfg = _partition_config(cfg)
+    num_scales = part_cfg.num_scales
+    if args.scale is not None and not 1 <= args.scale <= num_scales:
+        raise ConfigError(f"--scale must lie in 1..{num_scales}")
     scenes, num_classes = _load_scenes(args, cfg, part_cfg)
     pcfg = _pipeline_config(cfg, num_classes)
     seed = _seed(cfg)
@@ -302,9 +305,6 @@ def cmd_train(args):
         extras["role"] = "baseline"
     else:
         scale_id = args.scale
-        num_scales = part_cfg.num_scales
-        if not 1 <= scale_id <= num_scales:
-            raise ConfigError(f"--scale must lie in 1..{num_scales}")
         extras.update(role="scale", scale_id=scale_id)
     _require_points(scenes, scale_id)
     models, _ = _load_models(args.models, range(1, scale_id),
@@ -441,8 +441,10 @@ def cmd_gain(args):
 
 # ---------------------------------------------------------------------------
 
-THREADED_HELP = ("run the scales on one worker thread per core, lowest scale "
-                 "first; predictions are identical to a sequential run")
+THREADED_HELP = ("run the scales on one worker thread per core: scale 1 alone "
+                 "first, with every core for its neighbor searches, then the "
+                 "rest lowest scale first; predictions are identical to a "
+                 "sequential run")
 
 
 def build_parser():

@@ -8,22 +8,24 @@ scale's decoder when threaded.
 
 Every run goes through one worker loop. A threaded run starts one
 worker per core, at most one per scale; a sequential run is one worker,
-the calling thread. Each worker takes the lowest scale not yet started,
-runs it, and takes the next, so scale 1 never shares the cores with
-more scales than there are cores and its labels come at close to
-sequential speed. It cannot deadlock: a scale waits only on the scale
-before it, which was taken earlier and so is running or done.
-Predictions are bit-identical under any schedule: all stages are pure
-functions and the store contents seen by scale i are exactly scales
-1..i-1.
+the calling thread. Scale 1 runs alone first: the first worker takes
+it, and every other worker waits until scale 1 has its prediction or
+has failed, lending its core to scale 1's neighbor searches meanwhile,
+so the first labels come with every core behind them. After that each
+worker takes the lowest scale not yet started, runs it, and takes the
+next. It cannot deadlock: a scale waits only on the scale before it,
+which was taken earlier and so is running or done. Predictions are
+bit-identical under any schedule: all stages are pure functions and the
+store contents seen by scale i are exactly scales 1..i-1.
 
 Cores left over go to neighbor search: each brute-force KNN call splits
 its query rows over the cores that `_kernels.idle_cores` counts as idle.
 A threaded run reserves one core per worker before any worker starts,
 and the calling thread, which only waits, lends its core. A worker gives
-its core back when it exits and lends it while it blocks on the scale
-before it, so a split never takes a core from a computing scale. A
-sequential run never touches the count: its one worker never blocks.
+its core back when it exits and lends it while it blocks, on scale 1 or
+on the scale before its own, so a split never takes a core from a
+computing scale. A sequential run never touches the count: its one
+worker never blocks.
 """
 
 import math
@@ -148,6 +150,7 @@ class ScaleTiming:
     decode_ms: float
     knn_queries: int
     distance_evals: int
+    labels_ms: float  # run start until this scale's prediction existed
 
     @property
     def duration_ms(self):
@@ -177,7 +180,8 @@ class TimingReport:
                  "n_coarse": s.n_coarse, "arrival_ms": float(a),
                  "plan_ms": s.plan_ms, "encode_ms": s.encode_ms,
                  "fuse_ms": s.fuse_ms, "decode_ms": s.decode_ms,
-                 "cumulative_ms": c, "completion_ms": f, "pipelined_ms": i,
+                 "cumulative_ms": c, "completion_ms": f,
+                 "labels_ms": s.labels_ms, "pipelined_ms": i,
                  "knn_queries": s.knn_queries,
                  "distance_evals": s.distance_evals}
                 for s, a, c, f, i in zip(self.scales, arrivals, cum, comp, ind)]
@@ -200,7 +204,7 @@ def _wait_lending(event):
 
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
                failed, cfg: PipelineConfig, fusion_enabled, out_preds,
-               out_timings):
+               out_timings, t_start):
     """Execute one scale; `ready[i]` is set once the store holds scale i.
 
     Sequential and threaded runs share this event chain; they differ only
@@ -210,7 +214,8 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
     scale sets `failed` first, so every later scale sees it once its wait
     returns and stops before fusing into a store that lacks the failed
     scale. In a sequential run `ready[i - 1]` is always set already, so
-    no wait blocks and the idle-core count is never touched.
+    no wait blocks and the idle-core count is never touched. `t_start`
+    is the run's start on the perf_counter clock.
     """
     try:
         backbone_cfg = cfg.backbone
@@ -218,7 +223,9 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         n = part_pos.shape[0]
         if n == 0:
             out_preds[i] = Prediction(np.zeros((0, backbone_cfg.num_classes)))
-            out_timings[i] = ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+            out_timings[i] = ScaleTiming(
+                i + 1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0,
+                (time.perf_counter() - t_start) * 1e3)
             return
         t0 = time.perf_counter()
         stages = plan_stages(part_pos, base_voxel, backbone_cfg, counter)
@@ -248,7 +255,8 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
         out_preds[i] = pred
         out_timings[i] = ScaleTiming(
             i + 1, n, fm.n, (tp - t0 + ti - t2) * 1e3, (t1 - tp) * 1e3,
-            fuse_ms, (t3 - ti) * 1e3, counter.queries, counter.count)
+            fuse_ms, (t3 - ti) * 1e3, counter.queries, counter.count,
+            (t3 - t_start) * 1e3)
     except Exception:
         failed.set()
         raise
@@ -266,15 +274,23 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     threaded only chooses the worker count: min(num_scales, cores) when
     set, else 1. One worker is the calling thread itself; with more, the
     calling thread only waits for them and lends its core to their KNN
-    splits. Every worker's core is reserved before the first starts; a
-    worker lends its core while it blocks on the scale before it and
-    gives it back when it exits. Each worker takes the lowest
-    scale not yet started and runs it to the end; once any scale has
+    splits. Every worker's core is reserved before the first starts. The
+    first worker takes scale 1, and every other worker waits, lending its
+    core, until scale 1 has its prediction or has failed; scale 1 thus
+    runs alone with every core free for its KNN splits. On 2 cores this
+    brings the first labels close to a whole-machine run of scale 1
+    alone; on 4 or more cores it also holds scales 2.. back until
+    scale 1 ends, a schedule not yet measured on such a machine. After
+    scale 1, each worker takes the lowest scale not yet started and
+    runs it to the end, lending its core while it blocks on the scale
+    before it and giving it back when it exits. Once any scale has
     failed, no worker takes another, and the lowest failed scale's error
     is raised here. The store that scale i fuses with is exactly scales
     1..i-1 under any worker count, so the predictions are bit-identical
-    to a sequential run.
+    to a sequential run. Each scale's `labels_ms` is the wall time from
+    this call's start until its prediction existed.
     """
+    t_start = time.perf_counter()
     s = parts.num_scales
     if len(models) != s:
         raise ValueError(f"{len(models)} models for {s} scales")
@@ -291,8 +307,11 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     errors = [None] * s
     pending = iter(range(s))
     take = threading.Lock()
+    first_done = threading.Event()  # scale 1 has its prediction or failed
 
-    def work():
+    def work(first=True):
+        if not first:
+            _wait_lending(first_done)
         while not failed.is_set():
             with take:
                 i = next(pending, None)
@@ -301,13 +320,16 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
             try:
                 _run_scale(i, models[i], *scale_inputs[i], parts.voxel_sizes[i],
                            store, ready, failed, cfg, fusion_enabled, preds,
-                           timings)
+                           timings, t_start)
             except Exception as exc:  # re-raised below, in the caller
                 errors[i] = exc
+            finally:
+                if i == 0:
+                    first_done.set()
 
-    def work_on_own_core():
+    def work_on_own_core(first):
         try:
-            work()
+            work(first)
         finally:
             _kernels.idle_cores.release(1)
 
@@ -320,7 +342,7 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         # the first starts, so no KNN splits onto a core a later worker
         # is about to need.
         _kernels.idle_cores.reserve(num_workers - 1)
-        workers = [threading.Thread(target=work_on_own_core,
+        workers = [threading.Thread(target=work_on_own_core, args=(k == 0,),
                                     name=f"scaleseg-worker-{k + 1}")
                    for k in range(num_workers)]
         for w in workers:

@@ -210,6 +210,20 @@ def test_train_scale_and_baseline_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_scale_out_of_range_is_config_error(tmp_path, capsys, monkeypatch):
+    # rejected from the partition config alone: no scene is built and no
+    # --models directory is made
+    def no_scenes(*args):
+        raise AssertionError("scenes were loaded before the range check")
+
+    monkeypatch.setattr(cli, "_load_scenes", no_scenes)
+    models = tmp_path / "m9"
+    assert run(["train", "--scale", "9", "--models", str(models),
+                "--scenes", "1", "--points", "600"] + FAST) == 3
+    assert "--scale must lie in 1..2" in capsys.readouterr().err
+    assert not models.exists()
+
+
 def test_train_scale_out_of_order(tmp_path):
     # scale 2 without a frozen scale-1 checkpoint on disk
     assert run(["train", "--scale", "2", "--models", str(tmp_path / "m"),

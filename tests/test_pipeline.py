@@ -125,8 +125,8 @@ def test_run_pipeline_report_fields_and_coverage():
     assert len(records) == parts.num_scales
     expected_keys = ["scale", "n_points", "n_coarse", "arrival_ms", "plan_ms",
                      "encode_ms", "fuse_ms", "decode_ms", "cumulative_ms",
-                     "completion_ms", "pipelined_ms", "knn_queries",
-                     "distance_evals"]
+                     "completion_ms", "labels_ms", "pipelined_ms",
+                     "knn_queries", "distance_evals"]
     for rec in records:
         assert list(rec.keys()) == expected_keys
     assert [r["n_points"] for r in records] == list(parts.sizes)
@@ -136,6 +136,10 @@ def test_run_pipeline_report_fields_and_coverage():
         assert s.duration_ms == s.plan_ms + s.encode_ms + s.fuse_ms + s.decode_ms
     cms = [r["cumulative_ms"] for r in records]
     assert all(b >= a for a, b in zip(cms, cms[1:]))
+    # a sequential run's labels come in scale order, each after its own work
+    labels = [r["labels_ms"] for r in records]
+    assert all(b >= a for a, b in zip(labels, labels[1:]))
+    assert all(lab >= s.duration_ms for lab, s in zip(labels, report.scales))
     assert report.total_distance_evals == sum(r["distance_evals"] for r in records)
 
 
@@ -231,9 +235,8 @@ def test_threaded_failure_stops_later_scales(monkeypatch, cores):
     assert isinstance(error, KeyError)
     assert _kernels.idle_cores.idle == idle
     assert [c for c in calls if c[0] == "fuse"] == []
-    # a failed run starts no further scale: only the scales the workers
-    # took before scale 1 failed encode (scale 1 alone on one core)
-    assert _encoded(calls) == list(range(1, cores + 1))
+    # scale 1 runs alone, so a failed scale 1 starts no other scale
+    assert _encoded(calls) == [1]
 
     calls.clear()
     broken = ScaleModel(dict(models[1].params))
@@ -369,7 +372,8 @@ def test_threaded_runs_at_most_one_scale_per_worker(monkeypatch):
 
 def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
     # on 2 cores both workers hold a core from the start: no KNN call may
-    # split while scales 1 and 2 both plan and encode, however large
+    # split while two scales plan and encode, however large, and scale 1,
+    # running alone, splits onto the core the waiting worker lends
     _set_cores(monkeypatch, 2)
     pool = _kernels.CorePool(1)
     monkeypatch.setattr(_kernels, "idle_cores", pool)
@@ -401,9 +405,41 @@ def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
     monkeypatch.setattr(pipeline, "encode", spy_encode)
     monkeypatch.setattr(pool, "claim", spy_claim)
     run_pipeline(models, cloud, parts, pcfg, threaded=True)
-    both = [got for running, got in claims if {1, 2} <= running]
-    assert both and not any(both)
+    shared = [got for running, got in claims if len(running) >= 2]
+    assert shared and not any(shared)
+    assert any(got for running, got in claims if running == {1})
     assert pool.idle == 1
+
+
+def test_threaded_scale_1_runs_alone(monkeypatch):
+    # on 2 cores no other scale starts to encode before scale 1's decode
+    # has returned, and the predictions still equal a sequential run's
+    _set_cores(monkeypatch, 2)
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    seq, _ = run_pipeline(models, cloud, parts, pcfg)
+    events = []
+    encode, decode = pipeline.encode, pipeline.decode
+
+    def spy_encode(*args, scale_id, **kwargs):
+        events.append(("encode", scale_id))
+        return encode(*args, scale_id=scale_id, **kwargs)
+
+    def spy_decode(model, fused, *args, **kwargs):
+        out = decode(model, fused, *args, **kwargs)
+        events.append(("decoded", fused.scale_id))
+        return out
+
+    monkeypatch.setattr(pipeline, "encode", spy_encode)
+    monkeypatch.setattr(pipeline, "decode", spy_decode)
+    thr, report = run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    assert events[:2] == [("encode", 1), ("decoded", 1)]
+    assert sorted(events[2:]) == sorted(
+        [(kind, i) for i in range(2, parts.num_scales + 1)
+         for kind in ("decoded", "encode")])
+    first = report.scales[0].labels_ms
+    assert all(first <= t.labels_ms for t in report.scales[1:])
+    for a, b in zip(seq, thr):
+        assert np.array_equal(a.logits, b.logits)
 
 
 def test_blocked_wait_lends_its_core(monkeypatch):
