@@ -277,10 +277,9 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     splits. Every worker's core is reserved before the first starts. The
     first worker takes scale 1, and every other worker waits, lending its
     core, until scale 1 has its prediction or has failed; scale 1 thus
-    runs alone with every core free for its KNN splits. On 2 cores this
-    brings the first labels close to a whole-machine run of scale 1
-    alone; on 4 or more cores it also holds scales 2.. back until
-    scale 1 ends, a schedule not yet measured on such a machine. After
+    runs alone with every core free for its KNN splits. On 4 or more
+    cores this also holds scales 2.. back until scale 1 ends, a
+    schedule not yet measured on such a machine. After
     scale 1, each worker takes the lowest scale not yet started and
     runs it to the end, lending its core while it blocks on the scale
     before it and giving it back when it exits. Once any scale has
