@@ -10,12 +10,25 @@ the coordinate columns. Each block's distances are written into two
 in cache instead of streaming fresh temporaries through memory on every
 block.
 
+Each block then selects its rows' k nearest without sorting or
+partitioning whole rows. A row's threshold tau is its k-th smallest
+distance over a strided sample of about _SAMPLE columns (the whole row
+when that sample holds fewer than k). The sample sets only the
+threshold: tau is at least the row's true k-th distance, so the
+candidates d2 <= tau hold every true neighbor, ties at the k-th distance
+included, and one stable sort of the block's candidates by (row,
+distance, id) yields each row's first k. A sample that misses a dense
+cluster makes tau loose and the candidate list long, which costs time
+but never changes a bit. The cost is still Q*M distance evaluations per
+call; the sample only shrinks what is sorted.
+
 A call big enough to pay for threads splits its query rows into
 contiguous spans of whole blocks, one per core it can claim from
 `idle_cores`. The calling thread runs the first span and short-lived
 helper threads run the others, each with its own pair of block buffers
 and writing disjoint rows of the output; numpy releases the interpreter
-lock inside the distance and partition calls, so the spans run at once.
+lock inside the distance, threshold and sort calls, so the spans run at
+once.
 No thread outlives the call, and a helper's error is raised in the
 caller after every helper has joined. A row goes through the same
 operations on the same inputs whichever span holds it, so a split call
@@ -83,6 +96,8 @@ idle_cores = CorePool(_cores() - 1)
 
 # Query rows per distance block.
 _CHUNK_ROWS = 32
+# Columns of each distance row sampled for the selection threshold.
+_SAMPLE = 1024
 # Candidate pairs (query rows x points) per span below which a thread
 # start and the interpreter-lock handoffs cost more than the span saves.
 _SPLIT_PAIRS = 1 << 20
@@ -95,7 +110,10 @@ def knn_topk(points, queries, k):
     M >= 1.
     Returns (ids, d2), each (Q, min(k, M)), rows ascending by
     (squared distance, point id). Brute force, vectorized over query
-    blocks: every call evaluates Q*M point distances.
+    blocks: every call evaluates Q*M point distances. A strided sample
+    of each distance row sets a threshold that every true neighbor
+    meets; only the points within it are sorted, so the sample changes
+    the time and never the result.
     """
     m = points.shape[0]
     k = min(int(k), m)
@@ -136,6 +154,9 @@ def _topk_rows(pcols, qcols, k, lo, hi, out_idx, out_d2):
     """Fill rows lo:hi of the outputs, one _CHUNK_ROWS block at a time."""
     m = pcols[0].shape[0]
     step = _CHUNK_ROWS
+    stride = max(1, m // _SAMPLE)
+    if -(-m // stride) < k:  # the sample holds fewer than k columns
+        stride = 1
     d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float64)
     term_buf = np.empty_like(d2_buf)
     for b_lo in range(lo, hi, step):
@@ -149,21 +170,17 @@ def _topk_rows(pcols, qcols, k, lo, hi, out_idx, out_d2):
             np.subtract(qc[b_lo:b_hi], pc, out=term)
             np.square(term, out=term)
             d2 += term
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        pd2 = np.take_along_axis(d2, part, axis=1)
-        # Order the k candidates by (distance, id).
-        order = np.lexsort((part, pd2), axis=1)
-        part = np.take_along_axis(part, order, axis=1)
-        pd2 = np.take_along_axis(pd2, order, axis=1)
-        # argpartition picks an arbitrary subset among ties straddling the
-        # k-th distance; repair those rows so lower ids always win. With
-        # k == M every point is a candidate and no row needs it.
-        kth = pd2[:, -1]
-        n_leq = np.count_nonzero(d2 <= kth[:, None], axis=1)
-        for r in np.flatnonzero(n_leq > k):
-            cand = np.flatnonzero(d2[r] <= kth[r])
-            order = np.lexsort((cand, d2[r, cand]))[:k]
-            part[r] = cand[order]
-            pd2[r] = d2[r, cand[order]]
-        out_idx[b_lo:b_hi] = part
-        out_d2[b_lo:b_hi] = pd2
+        # tau bounds each row's true k-th distance from above
+        tau = np.partition(d2[:, ::stride], k - 1, axis=1)[:, k - 1]
+        cand = np.flatnonzero(d2 <= tau[:, None])
+        row, col = np.divmod(cand, m)
+        cd2 = d2.ravel()[cand]
+        # Order the candidates by (row, distance, id) and keep each row's
+        # first k; every row has at least k. flatnonzero lists a row's
+        # candidates by ascending id and lexsort is stable, so the id
+        # needs no key of its own.
+        order = np.lexsort((cd2, row))
+        starts = np.searchsorted(row, np.arange(b_hi - b_lo))
+        take = order[starts[:, None] + np.arange(k)]
+        out_idx[b_lo:b_hi] = col[take]
+        out_d2[b_lo:b_hi] = cd2[take]

@@ -293,7 +293,6 @@ def cmd_train(args):
     pcfg = _pipeline_config(cfg, num_classes)
     seed = _seed(cfg)
     tcfg = _build(TrainConfig, cfg, rng_seed=seed)
-    os.makedirs(args.models, exist_ok=True)
     extras = {"k_fuse": pcfg.k_fuse,
               "voxel_sizes": ",".join(map(repr, part_cfg.voxel_sizes))}
     if args.baseline:
@@ -317,6 +316,7 @@ def cmd_train(args):
     losses = train_scale(models + [trainee], len(models) + 1, scenes, pcfg,
                          tcfg)
     path = _model_path(args.models, scale_id)
+    os.makedirs(args.models, exist_ok=True)
     save_checkpoint(path, trainee.params, pcfg.backbone, frozen=True,
                     extras=extras)
 

@@ -225,10 +225,13 @@ def test_train_scale_out_of_range_is_config_error(tmp_path, capsys, monkeypatch)
 
 
 def test_train_scale_out_of_order(tmp_path):
-    # scale 2 without a frozen scale-1 checkpoint on disk
-    assert run(["train", "--scale", "2", "--models", str(tmp_path / "m"),
+    # scale 2 without a frozen scale-1 checkpoint on disk; the failed run
+    # leaves no empty --models directory behind
+    models = tmp_path / "m"
+    assert run(["train", "--scale", "2", "--models", str(models),
                 "--scenes", "1", "--points", "600", "--epochs", "1"]
                + FAST) == 2
+    assert not models.exists()
 
 
 def test_train_scale_without_points_is_input_error(tmp_path, capsys):

@@ -84,6 +84,53 @@ def test_knn_matches_brute_reference(monkeypatch):
                                   monkeypatch)
 
 
+def _sampled_case(name, rng):
+    """(points, queries, k) of one case for the sampled threshold."""
+    if name == "lattice-ties":
+        # 6x6x6 integer lattice: a query on a lattice point has one point
+        # at distance 0 and six at 1, so k = 5 cuts through a tie shell
+        axis = np.arange(6.0)
+        points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+        points = points.reshape(-1, 3)
+        queries = np.concatenate([points[rng.choice(216, 40)],
+                                  points[rng.choice(216, 30)] + 0.5])
+        return points, queries, 5
+    if name == "sorted-x":
+        points = rng.uniform(-1.0, 1.0, size=(300, 3))
+        points = points[np.argsort(points[:, 0], kind="stable")]
+        return points, rng.uniform(-1.0, 1.0, size=(70, 3)), 6
+    if name == "missed-cluster":
+        # ids 1..20 hold a tight cluster; the stride-50 sample takes ids
+        # 0, 50, 100, ... and so only far points
+        points = rng.uniform(10.0, 20.0, size=(400, 3))
+        points[1:21] = rng.normal(scale=0.01, size=(20, 3))
+        return points, rng.normal(scale=0.01, size=(70, 3)), 5
+    m, k = {"k-at-sample": (300, 9), "k-over-sample": (300, 10),
+            "k-at-m": (50, 50), "k-over-m": (50, 53)}[name]
+    points = np.round(rng.uniform(-1.0, 1.0, size=(m, 3)), 1)
+    return points, np.round(rng.uniform(-1.0, 1.0, size=(70, 3)), 1), k
+
+
+@pytest.mark.parametrize("name", [
+    "lattice-ties", "sorted-x", "missed-cluster", "k-at-sample",
+    "k-over-sample", "k-at-m", "k-over-m"])
+def test_sampled_threshold_matches_brute_reference(monkeypatch, name):
+    # a sample of 8 columns makes the stride > 1 on every case; the k-th
+    # point of the sample bounds the selection and must never change it
+    monkeypatch.setattr(_kernels, "_SAMPLE", 8)
+    points, queries, k = _sampled_case(name, np.random.default_rng(10))
+    stride = points.shape[0] // _kernels._SAMPLE
+    assert stride > 1
+    if name == "k-at-sample":
+        assert -(-points.shape[0] // stride) == k
+    if name == "missed-cluster":
+        # the sampled k-th distance is far above the true one: tau is loose
+        _, true_d2 = brute_reference(points, queries, k)
+        _, sample_d2 = brute_reference(points[::stride], queries, k)
+        assert np.all(sample_d2[:, -1] > 1e4 * true_d2[:, -1])
+    _assert_matches_reference(points, queries, k, name, monkeypatch)
+
+
 def test_collinear_oracle():
     # points at x = 0..4, query at 2.2: nearest two are ids 2 then 3
     points = np.zeros((5, 3))
