@@ -38,8 +38,9 @@ returns exactly the bits of an unsplit one.
 one less than the cores the process may run on, since the calling
 thread's core is busy. A call claims spare cores without blocking and
 gives them back once its helpers have joined. Threaded `run_pipeline`
-workers reserve their cores for the length of a run, so a split never
-takes a core from another scale; a worker lends its core while it waits.
+workers start after its first scale has run with every idle core, and
+reserve their cores until they exit, so a split never takes a core from
+another scale; a worker lends its core while it waits.
 """
 
 import os

@@ -142,6 +142,12 @@ def _model_path(models_dir, scale_id):
     return os.path.join(models_dir, name)
 
 
+def _role(scale_id):
+    """The checkpoint extras naming what a scale id's model is trained as."""
+    return ({"role": "baseline"} if scale_id == 0 else
+            {"role": "scale", "scale_id": str(scale_id)})
+
+
 def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
     """(models, pcfg) from the checkpoints of the given scale ids.
 
@@ -151,7 +157,8 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
     share one PipelineConfig; a checkpoint without k_fuse has the
     default one. A checkpoint that records the voxel sizes it was
     trained with must start with the configured `voxel_sizes` up to its
-    own scale (all of them for the baseline).
+    own scale (all of them for the baseline), and one that records its
+    role and scale id must have been trained as the id it is loaded as.
     """
     models = []
     for scale_id in scale_ids:
@@ -178,6 +185,10 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
         elif stored != pcfg:
             raise CheckpointFormatError(
                 f"{path}: model configuration {stored} does not match {pcfg}")
+        trained_as = {k: extras[k] for k in ("role", "scale_id") if k in extras}
+        if any(_role(scale_id).get(k) != v for k, v in trained_as.items()):
+            raise CheckpointFormatError(
+                f"{path}: trained as {trained_as}, loaded as {_role(scale_id)}")
         recorded = extras.get("voxel_sizes")
         if recorded is not None:
             want = tuple(voxel_sizes[:scale_id or None])
@@ -301,10 +312,9 @@ def cmd_train(args):
         # no lower scales to load
         scale_id = 0
         scenes = [(c, p.union()) for c, p in scenes]
-        extras["role"] = "baseline"
     else:
         scale_id = args.scale
-        extras.update(role="scale", scale_id=scale_id)
+    extras.update(_role(scale_id))
     _require_points(scenes, scale_id)
     models, _ = _load_models(args.models, range(1, scale_id),
                              part_cfg.voxel_sizes, pcfg)
@@ -441,9 +451,9 @@ def cmd_gain(args):
 
 # ---------------------------------------------------------------------------
 
-THREADED_HELP = ("run the scales on one worker thread per core: scale 1 alone "
-                 "first, with every core for its neighbor searches, then the "
-                 "rest lowest scale first; predictions are identical to a "
+THREADED_HELP = ("run scale 1 alone first, with every core for its neighbor "
+                 "searches, then the rest on one worker thread per core, "
+                 "lowest scale first; predictions are identical to a "
                  "sequential run")
 
 

@@ -1,31 +1,31 @@
 """Multi-scale inference orchestration, latency bounds, and the
 complexity accounting that motivates partitioned processing.
 
-Scale 1 runs encode -> decode; every later scale runs encode ->
-fuse(store) -> extend store -> decode. The store extension happens
-before decode so the next scale's fusion can overlap the current
-scale's decoder when threaded.
+The first scale with points runs encode -> decode; every later one runs
+encode -> fuse(store) -> extend store -> decode. The store extension
+happens before decode so the next scale's fusion can overlap the
+current scale's decoder when threaded.
 
-Every run goes through one worker loop. A threaded run starts one
-worker per core, at most one per scale; a sequential run is one worker,
-the calling thread. Scale 1 runs alone first: the first worker takes
-it, and every other worker waits until scale 1 has its prediction or
-has failed, lending its core to scale 1's neighbor searches meanwhile,
-so the first labels come with every core behind them. After that each
-worker takes the lowest scale not yet started, runs it, and takes the
-next. It cannot deadlock: a scale waits only on the scale before it,
-which was taken earlier and so is running or done. Predictions are
-bit-identical under any schedule: all stages are pure functions and the
-store contents seen by scale i are exactly scales 1..i-1.
+Every run follows one ready chain, linking each scale that has points
+to the previous one. The first of them runs on the calling thread
+before any worker exists, so the first labels come with every core
+behind them; the rest go to one worker loop. A threaded run starts one
+worker per core, at most one per scale left; a sequential run is one
+worker, the calling thread. Each worker takes the lowest scale not yet
+started, runs it, and takes the next. It cannot deadlock: a scale waits
+only on the previous scale with points, which was taken earlier and so
+is running or done. Predictions are bit-identical under any schedule:
+all stages are pure functions and the store contents seen by scale i
+are exactly scales 1..i-1.
 
 Cores left over go to neighbor search: each brute-force KNN call splits
-its query rows over the cores that `_kernels.idle_cores` counts as idle.
-A threaded run reserves one core per worker before any worker starts,
-and the calling thread, which only waits, lends its core. A worker gives
-its core back when it exits and lends it while it blocks, on scale 1 or
-on the scale before its own, so a split never takes a core from a
-computing scale. A sequential run never touches the count: its one
-worker never blocks.
+its query rows over the cores that `_kernels.idle_cores` counts as idle,
+every core but the caller's while the first scale runs. A threaded run
+then reserves one core per worker before any worker starts, and the
+calling thread, which only waits, lends its core. A worker gives its
+core back when it exits and lends it while it blocks on the scale before
+its own, so a split never takes a core from a computing scale. A
+sequential run never touches the count: its one worker never blocks.
 """
 
 import math
@@ -202,92 +202,80 @@ def _wait_lending(event):
         _kernels.idle_cores.reserve(1)
 
 
-def _run_scale(i, model, part_pos, part_feats, base_voxel, store, ready,
-               failed, cfg: PipelineConfig, fusion_enabled, out_preds,
-               out_timings, t_start):
-    """Execute one scale; `ready[i]` is set once the store holds scale i.
+def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
+               ready, failed, cfg: PipelineConfig, fusion_enabled, t_start):
+    """Execute scale i + 1, which has points; returns (Prediction,
+    ScaleTiming), or None once another scale has failed.
 
-    Sequential and threaded runs share this event chain; they differ only
-    in which thread calls each scale. A scale that fails or has no points
-    still sets `ready[i]`, after `ready[i - 1]`, so the store-ready chain
-    stays in scale order and no later scale waits forever. A failing
-    scale sets `failed` first, so every later scale sees it once its wait
-    returns and stops before fusing into a store that lacks the failed
-    scale. In a sequential run `ready[i - 1]` is always set already, so
+    `after` is the event of the previous scale with points (None for
+    the first, which fuses nothing), `ready` this scale's own, set once
+    the store holds this scale or this scale has stopped. A failing
+    scale sets `failed` first, so every later scale sees it once its
+    wait returns and stops before fusing into a store that lacks the
+    failed scale. In a sequential run `after` is always set already, so
     no wait blocks and the idle-core count is never touched. `t_start`
     is the run's start on the perf_counter clock.
     """
     try:
         backbone_cfg = cfg.backbone
         counter = EvalCounter()
-        n = part_pos.shape[0]
-        if n == 0:
-            out_preds[i] = Prediction(np.zeros((0, backbone_cfg.num_classes)))
-            out_timings[i] = ScaleTiming(
-                i + 1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0,
-                (time.perf_counter() - t_start) * 1e3)
-            return
         t0 = time.perf_counter()
         stages = plan_stages(part_pos, base_voxel, backbone_cfg, counter)
         tp = time.perf_counter()
         fm, _ = encode(model, part_pos, part_feats, stages, scale_id=i + 1,
                        need_cache=False)
         t1 = time.perf_counter()
-        if i > 0:
-            _wait_lending(ready[i - 1])
+        if after is not None:
+            _wait_lending(after)
             if failed.is_set():
-                return
+                return None
         fuse_ms = 0.0
         fused = fm
-        if i > 0 and fusion_enabled:
+        if fusion_enabled and store.size > 0:
             tf = time.perf_counter()
             fused, _ = fuse(fm, store, model.params, cfg.k_fuse,
                             counter=counter, need_cache=False)
             fuse_ms = (time.perf_counter() - tf) * 1e3
         store.add_scale(fused)
-        ready[i].set()
+        ready.set()
         t2 = time.perf_counter()
         interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
         ti = time.perf_counter()
         pred, _ = decode(model, fused, part_pos, backbone_cfg, interp,
                          need_cache=False)
         t3 = time.perf_counter()
-        out_preds[i] = pred
-        out_timings[i] = ScaleTiming(
-            i + 1, n, fm.n, (tp - t0 + ti - t2) * 1e3, (t1 - tp) * 1e3,
-            fuse_ms, (t3 - ti) * 1e3, counter.queries, counter.count,
-            (t3 - t_start) * 1e3)
+        return pred, ScaleTiming(
+            i + 1, part_pos.shape[0], fm.n, (tp - t0 + ti - t2) * 1e3,
+            (t1 - tp) * 1e3, fuse_ms, (t3 - ti) * 1e3, counter.queries,
+            counter.count, (t3 - t_start) * 1e3)
     except Exception:
         failed.set()
         raise
     finally:
-        if not ready[i].is_set():
-            if i > 0:
-                _wait_lending(ready[i - 1])
-            ready[i].set()
+        ready.set()
 
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
                  cfg: PipelineConfig, threaded=False, fusion_enabled=True):
     """Run all scales; returns (predictions, TimingReport).
 
-    threaded only chooses the worker count: min(num_scales, cores) when
+    The first scale that has points runs on the calling thread before
+    any worker exists; if it fails, its error is raised and no other
+    scale starts. The rest with points go to one worker loop, and
+    threaded only chooses its worker count: min(scales left, cores) when
     set, else 1. One worker is the calling thread itself; with more, the
-    calling thread only waits for them and lends its core to their KNN
-    splits. Every worker's core is reserved before the first starts. The
-    first worker takes scale 1, and every other worker waits, lending its
-    core, until scale 1 has its prediction or has failed; scale 1 thus
-    runs alone with every core free for its KNN splits. On 4 or more
-    cores this also holds scales 2.. back until scale 1 ends, a
-    schedule not yet measured on such a machine. After
-    scale 1, each worker takes the lowest scale not yet started and
-    runs it to the end, lending its core while it blocks on the scale
-    before it and giving it back when it exits. Once any scale has
-    failed, no worker takes another, and the lowest failed scale's error
-    is raised here. The store that scale i fuses with is exactly scales
-    1..i-1 under any worker count, so the predictions are bit-identical
-    to a sequential run. Each scale's `labels_ms` is the wall time from
-    this call's start until its prediction existed.
+    calling thread only waits and lends its core, and every worker's
+    core is reserved before the first starts. Each worker takes the
+    lowest scale not yet started and runs it to the end, lending its
+    core while it blocks on the previous scale with points. On 4 or more
+    cores the later scales thus wait for scale 1 to end, a schedule not
+    yet measured there. Once a scale has failed, no worker takes
+    another, and the lowest failed scale's error is raised here. A scale
+    with no points never runs: its empty prediction exists from the
+    start, so its ScaleTiming is all zero, `labels_ms` included. Scale i
+    fuses with exactly scales 1..i-1 under any worker count, so the
+    predictions are bit-identical to a sequential run. `labels_ms` is
+    the wall time from this call's start until a prediction existed.
     """
     t_start = time.perf_counter()
     s = parts.num_scales
@@ -295,53 +283,56 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         raise ValueError(f"{len(models)} models for {s} scales")
 
     feats_all = cloud.xyzrgb()
-    scale_inputs = [(cloud.positions[idx], feats_all[idx])
-                    for idx in parts.partitions]
-
     store = FeatureStore(cfg.backbone.feature_dim)
-    preds = [None] * s
-    timings = [None] * s
-    ready = [threading.Event() for _ in range(s)]
+    preds = [Prediction(np.zeros((0, cfg.backbone.num_classes)))
+             for _ in range(s)]
+    timings = [ScaleTiming(i + 1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+               for i in range(s)]
+    scales = [i for i in range(s) if parts.partitions[i].size]
+    events = [threading.Event() for _ in scales]
+    # each scale with points: (the previous one's event, its own)
+    links = dict(zip(scales, zip([None] + events[:-1], events)))
     failed = threading.Event()
-    errors = [None] * s
-    pending = iter(range(s))
-    take = threading.Lock()
-    first_done = threading.Event()  # scale 1 has its prediction or failed
+    errors = {}
 
-    def work(first=True):
-        if not first:
-            _wait_lending(first_done)
+    def run(i):
+        idx = parts.partitions[i]
+        out = _run_scale(i, models[i], cloud.positions[idx], feats_all[idx],
+                         parts.voxel_sizes[i], store, *links[i], failed, cfg,
+                         fusion_enabled, t_start)
+        if out is not None:
+            preds[i], timings[i] = out
+
+    if scales:
+        run(scales[0])
+    pending = iter(scales[1:])
+    take = threading.Lock()
+
+    def work():
         while not failed.is_set():
             with take:
                 i = next(pending, None)
             if i is None:
                 return
             try:
-                _run_scale(i, models[i], *scale_inputs[i], parts.voxel_sizes[i],
-                           store, ready, failed, cfg, fusion_enabled, preds,
-                           timings, t_start)
+                run(i)
             except Exception as exc:  # re-raised below, in the caller
                 errors[i] = exc
-            finally:
-                if i == 0:
-                    first_done.set()
 
-    def work_on_own_core(first):
+    def work_on_own_core():
         try:
-            work(first)
+            work()
         finally:
             _kernels.idle_cores.release(1)
 
-    num_workers = min(s, _cores()) if threaded else 1
+    num_workers = min(len(scales) - 1, _cores()) if threaded else 1
     if num_workers <= 1:
         work()
     else:
-        # The caller only waits, so it lends its core, and each worker
-        # holds one until it exits. Every worker's core is reserved before
-        # the first starts, so no KNN splits onto a core a later worker
-        # is about to need.
+        # every worker's core is reserved before the first starts, so no
+        # KNN splits onto a core a later worker is about to need
         _kernels.idle_cores.reserve(num_workers - 1)
-        workers = [threading.Thread(target=work_on_own_core, args=(k == 0,),
+        workers = [threading.Thread(target=work_on_own_core,
                                     name=f"scaleseg-worker-{k + 1}")
                    for k in range(num_workers)]
         for w in workers:
@@ -349,9 +340,6 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         for w in workers:
             w.join()
         _kernels.idle_cores.reserve(1)
-    # the lowest failed scale's error is the root cause
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:  # the lowest failed scale's error is the root cause
+        raise errors[min(errors)]
     return preds, TimingReport(timings)
-

@@ -50,7 +50,7 @@ def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
         stages = plan_stages(positions, parts.voxel_sizes[j], cfg.backbone)
         fm, _ = encode(models[j], positions, feats_all[idx], stages,
                        scale_id=j + 1, need_cache=False)
-        if j > 0 and store.size > 0:
+        if store.size > 0:
             fm, _ = fuse(fm, store, models[j].params, cfg.k_fuse,
                          need_cache=False)
         store.add_scale(fm)

@@ -370,17 +370,25 @@ def test_infer_bad_arrivals(tmp_path, trained, monkeypatch):
                     f"--arrival-times={arrivals}"]) == 3, arrivals
 
 
-def _with_voxel_extra(trained, models, value):
-    """Copies of the trained scales whose recorded voxel sizes are
-    `value`, or absent when None."""
+def _with_copies(trained, models, copies, voxels, keep_role=True):
+    """A models dir whose files are copies of trained ones ({target:
+    source}), each recording the voxel sizes `voxels` (none when None)
+    and, when `keep_role`, the role and scale id its source was trained
+    as."""
     models.mkdir()
-    for name in ("scale_1.ckpt", "scale_2.ckpt"):
-        params, bcfg, frozen, extras = load_checkpoint(trained / name)
+    for target, source in copies.items():
+        params, bcfg, frozen, extras = load_checkpoint(trained / source)
         extras.pop("voxel_sizes")
-        if value is not None:
-            extras["voxel_sizes"] = value
-        save_checkpoint(models / name, params, bcfg, frozen=frozen,
+        if voxels is not None:
+            extras["voxel_sizes"] = voxels
+        if not keep_role:
+            extras.pop("role")
+            extras.pop("scale_id", None)
+        save_checkpoint(models / target, params, bcfg, frozen=frozen,
                         extras=extras)
+
+
+TRAINED_SCALES = {"scale_1.ckpt": "scale_1.ckpt", "scale_2.ckpt": "scale_2.ckpt"}
 
 
 @pytest.mark.parametrize("recorded, voxels, code", [
@@ -395,7 +403,7 @@ def test_infer_checks_recorded_voxel_sizes(tmp_path, trained, capsys,
     scene = tmp_path / "t.rspc"
     run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
     models = tmp_path / "m"
-    _with_voxel_extra(trained, models, recorded)
+    _with_copies(trained, models, TRAINED_SCALES, recorded)
     if code != 0:
         def no_run(*args, **kwargs):
             raise AssertionError("a scale ran before the checkpoints were checked")
@@ -407,6 +415,42 @@ def test_infer_checks_recorded_voxel_sizes(tmp_path, trained, capsys,
         assert (f"trained with voxel sizes {recorded}, configured "
                 f"{','.join(repr(float(v)) for v in voxels.split(','))}"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+@pytest.mark.parametrize("copies, voxels, keep_role, misplaced", [
+    ({"scale_1.ckpt": "baseline.ckpt", "scale_2.ckpt": "scale_2.ckpt"},
+     "0.5,0.35", True, "scale_1.ckpt"),
+    ({**TRAINED_SCALES, "scale_3.ckpt": "scale_2.ckpt"}, "0.5,0.35,0.25", True,
+     "scale_3.ckpt"),
+    ({"scale_1.ckpt": "baseline.ckpt", "scale_2.ckpt": "scale_2.ckpt"},
+     "0.5,0.35", False, None),  # files without the extras
+], ids=["baseline-as-scale-1", "scale-2-as-scale-3", "absent"])
+def test_misplaced_checkpoint_is_format_error(tmp_path, trained, capsys,
+                                              monkeypatch, command, copies,
+                                              voxels, keep_role, misplaced):
+    models = tmp_path / "m"
+    _with_copies(trained, models, copies, voxels, keep_role)
+    if command == "infer":
+        scene = tmp_path / "t.rspc"
+        run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+        argv = ["infer", "--in", str(scene)]
+    else:
+        argv = ["eval", "--scenes", "1", "--points", "1500", "--classes", "4",
+                "--seed", "1"]
+    if misplaced:
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scale ran before the checkpoints were checked")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_run)
+        monkeypatch.setattr(cli, "evaluate", no_run)
+    code = run(argv + ["--models", str(models), "--voxel-sizes", voxels])
+    err = capsys.readouterr().err
+    if misplaced:
+        assert code == 2
+        assert misplaced in err and "trained as" in err
+    else:
+        assert code == 0, err
 
 
 def test_infer_checkpoint_dims_beyond_int64(tmp_path, trained, capsys):

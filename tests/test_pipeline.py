@@ -9,8 +9,8 @@ import pytest
 
 from scaleseg import _kernels, pipeline
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
-from scaleseg.cloud import (PartitionConfig, PointCloud, build_partitions,
-                            gather, voxel_keys)
+from scaleseg.cloud import (PartitionConfig, PartitionSet, PointCloud,
+                            build_partitions, gather, voxel_keys)
 from scaleseg.pipeline import (
     ComplexityEstimate,
     PipelineConfig,
@@ -152,19 +152,46 @@ def _set_cores(monkeypatch, cores):
     monkeypatch.setattr(pipeline, "_cores", lambda: cores)
 
 
+def _emptied(parts, i):
+    """`parts` with scale i + 1 holding no points."""
+    partitions = list(parts.partitions)
+    partitions[i] = np.zeros(0, dtype=np.int64)
+    return PartitionSet(tuple(partitions), parts.voxel_sizes)
+
+
 @pytest.mark.parametrize("cores", CORES)
 def test_run_pipeline_threaded_matches_sequential(monkeypatch, cores):
     _set_cores(monkeypatch, cores)
+    cloud, full, pcfg, models = make_setup(seed=3)
+    # the scenes' partitions, and the same with an empty middle scale
+    for parts in (full, _emptied(full, 1)):
+        idle = _kernels.idle_cores.idle
+        seq, _ = run_pipeline(models, cloud, parts, pcfg)
+        assert _kernels.idle_cores.idle == idle
+        thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
+        # every core a run reserved or lent has come back
+        assert _kernels.idle_cores.idle == idle
+        assert [p.n for p in thr] == list(parts.sizes)
+        for a, b in zip(seq, thr):
+            assert np.array_equal(a.logits, b.logits)
+            assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_threaded_empty_first_scale_fuses_nothing(monkeypatch, threaded):
+    # the first scale with points fuses nothing, as in training: with scale
+    # 1 empty, scale 2 gives the logits of a run without fusion
+    _set_cores(monkeypatch, 2)
     cloud, parts, pcfg, models = make_setup(seed=3)
-    idle = _kernels.idle_cores.idle
-    seq, _ = run_pipeline(models, cloud, parts, pcfg)
-    assert _kernels.idle_cores.idle == idle
-    thr, _ = run_pipeline(models, cloud, parts, pcfg, threaded=True)
-    # every core a run reserved or lent has come back
-    assert _kernels.idle_cores.idle == idle
-    for a, b in zip(seq, thr):
-        assert np.array_equal(a.logits, b.logits)
-        assert np.array_equal(a.labels, b.labels)
+    parts = _emptied(parts, 0)
+    preds, report = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
+    bypass, _ = run_pipeline(models, cloud, parts, pcfg, fusion_enabled=False)
+    assert preds[0].logits.shape == (0, pcfg.backbone.num_classes)
+    assert report.scales[0] == pipeline.ScaleTiming(
+        1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+    assert report.scales[1].fuse_ms == 0.0
+    assert np.array_equal(preds[1].logits, bypass[1].logits)
+    assert not np.array_equal(preds[2].logits, bypass[2].logits)
 
 
 def _threaded_run(models, cloud, parts, pcfg):
@@ -247,9 +274,35 @@ def test_threaded_failure_stops_later_scales(monkeypatch, cores):
     assert _kernels.idle_cores.idle == idle
 
 
+@pytest.mark.parametrize("cores", [2, 4])
+def test_threaded_failing_first_scale_starts_no_thread(monkeypatch, cores):
+    # the first scale runs on the calling thread before any worker exists,
+    # so its failure is raised with no worker started and no core reserved
+    _set_cores(monkeypatch, cores)
+    cloud, parts, pcfg, models = make_setup(seed=4)
+    calls = _spy_stages(monkeypatch)
+    started = []
+    thread = threading.Thread
+
+    def spy_thread(*args, name=None, **kwargs):
+        started.append(name)
+        return thread(*args, name=name, **kwargs)
+
+    monkeypatch.setattr(pipeline.threading, "Thread", spy_thread)
+    idle = _kernels.idle_cores.idle
+    broken = ScaleModel(dict(models[0].params))
+    del broken.params["att0_wq"]
+    with pytest.raises(KeyError):
+        run_pipeline([broken] + models[1:], cloud, parts, pcfg, threaded=True)
+    # KNN splits may start their helpers; no scale worker starts
+    assert [n for n in started if n != "scaleseg-knn"] == []
+    assert _encoded(calls) == [1]
+    assert _kernels.idle_cores.idle == idle
+
+
 def test_sequential_failure_stops_later_scales(monkeypatch):
-    # a sequential run goes through the same worker loop: scale 1 fails,
-    # no later scale starts, and scale 1's error is raised
+    # a sequential run follows the same ready chain: scale 1 fails, no
+    # later scale starts, and scale 1's error is raised
     cloud, parts, pcfg, models = make_setup(seed=4)
     calls = _spy_stages(monkeypatch)
     idle = _kernels.idle_cores.idle
@@ -340,7 +393,10 @@ def test_threaded_worker_count_follows_affinity(monkeypatch):
 
     monkeypatch.setattr(pipeline, "encode", spy_encode)
     run_pipeline(models, cloud, parts, pcfg, threaded=True)
-    assert 1 <= len(names) <= min(parts.num_scales, pipeline._cores())
+    # the calling thread runs scale 1, and the workers the scales left
+    assert threading.current_thread().name in names
+    with_points = sum(1 for n in parts.sizes if n)
+    assert len(names) <= 1 + min(with_points - 1, pipeline._cores())
 
 
 def test_threaded_runs_at_most_one_scale_per_worker(monkeypatch):
