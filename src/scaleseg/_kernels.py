@@ -39,8 +39,8 @@ one less than the cores the process may run on, since the calling
 thread's core is busy. A call claims spare cores without blocking and
 gives them back once its helpers have joined. Threaded `run_pipeline`
 workers start after its first scale has run with every idle core, and
-reserve their cores until they exit, so a split never takes a core from
-another scale; a worker lends its core while it waits.
+hold their cores from their start until they find no scale left, so a
+split never takes a core from another scale.
 """
 
 import os

@@ -132,52 +132,47 @@ class ScaleModel:
         return ScaleModel({k: v.copy() for k, v in self.params.items()}, self.frozen)
 
 
-def _attention_param_shapes(f):
-    return {
-        "_wq": (f, f), "_wk": (f, f), "_wv": (f, f),
-        "_pw1": (3, f), "_pb1": (f,), "_pw2": (f, f), "_pb2": (f,),
-        "_aw1": (f, f), "_ab1": (f,), "_aw2": (f, f), "_ab2": (f,),
-    }
-
-
 # Input feature width: xyz followed by rgb, as PointCloud.xyzrgb() gives.
 XYZRGB_WIDTH = 6
 
+# Weights drawn with variance 1/fan-in; every other matrix has 2/fan-in.
+_UNIT_INIT = ("_wq", "_wk", "_wv", "head_w", "fuse_fw")
+
+
+def param_shapes(cfg: BackboneConfig, with_fusion: bool = False):
+    """Name -> shape of every parameter tensor, in `init_params`' draw
+    order."""
+    f = cfg.feature_dim
+    shapes = {"embed_w1": (XYZRGB_WIDTH, f), "embed_b1": (f,),
+              "embed_w2": (f, f), "embed_b2": (f,)}
+    for t in range(cfg.encoder_stages):
+        shapes.update({
+            f"att{t}_wq": (f, f), f"att{t}_wk": (f, f), f"att{t}_wv": (f, f),
+            f"att{t}_pw1": (3, f), f"att{t}_pb1": (f,),
+            f"att{t}_pw2": (f, f), f"att{t}_pb2": (f,),
+            f"att{t}_aw1": (f, f), f"att{t}_ab1": (f,),
+            f"att{t}_aw2": (f, f), f"att{t}_ab2": (f,)})
+    for t in range(cfg.encoder_stages):
+        shapes.update({f"dec{t}_w": (f, f), f"dec{t}_b": (f,)})
+    shapes.update({"head_w": (f, cfg.num_classes),
+                   "head_b": (cfg.num_classes,)})
+    if with_fusion:
+        shapes.update({"fuse_cw": (f, f), "fuse_cb": (f,),
+                       "fuse_fw": (2 * f, f), "fuse_fb": (f,)})
+    return shapes
+
 
 def init_params(cfg: BackboneConfig, seed: int = 0, with_fusion: bool = False):
-    """Fresh parameter dict, name -> float64 array, fan-in scaled."""
+    """Fresh parameter dict, name -> float64 array, fan-in scaled; biases
+    start at zero."""
     rng = np.random.default_rng(seed)
-    f = cfg.feature_dim
-
-    def he(shape):
-        return rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
-
-    def unit(shape):
-        return rng.standard_normal(shape) * np.sqrt(1.0 / shape[0])
-
-    p = {
-        "embed_w1": he((XYZRGB_WIDTH, f)), "embed_b1": np.zeros(f),
-        "embed_w2": he((f, f)), "embed_b2": np.zeros(f),
-    }
-    for t in range(cfg.encoder_stages):
-        for suffix, shape in _attention_param_shapes(f).items():
-            name = f"att{t}{suffix}"
-            if suffix in ("_wq", "_wk", "_wv"):
-                p[name] = unit(shape)
-            elif len(shape) == 1:
-                p[name] = np.zeros(shape)
-            else:
-                p[name] = he(shape)
-    for t in range(cfg.encoder_stages):
-        p[f"dec{t}_w"] = he((f, f))
-        p[f"dec{t}_b"] = np.zeros(f)
-    p["head_w"] = unit((f, cfg.num_classes))
-    p["head_b"] = np.zeros(cfg.num_classes)
-    if with_fusion:
-        p["fuse_cw"] = he((f, f))
-        p["fuse_cb"] = np.zeros(f)
-        p["fuse_fw"] = unit((2 * f, f))
-        p["fuse_fb"] = np.zeros(f)
+    p = {}
+    for name, shape in param_shapes(cfg, with_fusion).items():
+        if len(shape) == 1:
+            p[name] = np.zeros(shape)
+        else:
+            gain = 1.0 if name.endswith(_UNIT_INIT) else 2.0
+            p[name] = rng.standard_normal(shape) * np.sqrt(gain / shape[0])
     return p
 
 

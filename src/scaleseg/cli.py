@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .backbone import BackboneConfig, ScaleModel, init_params
+from .backbone import BackboneConfig, ScaleModel, init_params, param_shapes
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .cloud import (CloudExtentError, PartitionConfig, build_partitions,
                     gather)
@@ -164,8 +164,7 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
     for scale_id in scale_ids:
         path = _model_path(models_dir, scale_id)
         params, bcfg, frozen, extras = load_checkpoint(path)
-        want = {k: v.shape for k, v in
-                init_params(bcfg, with_fusion=scale_id > 1).items()}
+        want = param_shapes(bcfg, with_fusion=scale_id > 1)
         got = {k: v.shape for k, v in params.items()}
         if got != want:
             missing = sorted(want.keys() - got.keys())

@@ -9,9 +9,9 @@ current scale's decoder when threaded.
 Every run follows one ready chain, linking each scale that has points
 to the previous one. The first of them runs on the calling thread
 before any worker exists, so the first labels come with every core
-behind them; the rest go to one worker loop. A threaded run starts one
-worker per core, at most one per scale left; a sequential run is one
-worker, the calling thread. Each worker takes the lowest scale not yet
+behind them; the rest go to one worker loop. The calling thread is
+worker 0; a threaded run adds helper threads up to one worker per core,
+at most one per scale left. Each worker takes the lowest scale not yet
 started, runs it, and takes the next. It cannot deadlock: a scale waits
 only on the previous scale with points, which was taken earlier and so
 is running or done. Predictions are bit-identical under any schedule:
@@ -20,12 +20,12 @@ are exactly scales 1..i-1.
 
 Cores left over go to neighbor search: each brute-force KNN call splits
 its query rows over the cores that `_kernels.idle_cores` counts as idle,
-every core but the caller's while the first scale runs. A threaded run
-then reserves one core per worker before any worker starts, and the
-calling thread, which only waits, lends its core. A worker gives its
-core back when it exits and lends it while it blocks on the scale before
-its own, so a split never takes a core from a computing scale. A
-sequential run never touches the count: its one worker never blocks.
+every core but the caller's while the first scale runs. The helpers'
+cores are reserved before the first helper starts, and each worker, the
+caller included, gives its core back once it finds no scale left; the
+caller takes its own back after the join. So the count changes only when
+a worker starts or ends, and a split never takes a core from a scale
+that still has work.
 """
 
 import math
@@ -190,18 +190,6 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # execution
 
-def _wait_lending(event):
-    """Wait for `event`; a wait that blocks lends this thread's core to
-    the KNN splits of other threads until it returns."""
-    if event.is_set():
-        return
-    _kernels.idle_cores.release(1)
-    try:
-        event.wait()
-    finally:
-        _kernels.idle_cores.reserve(1)
-
-
 def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
                ready, failed, cfg: PipelineConfig, fusion_enabled, t_start):
     """Execute scale i + 1, which has points; returns (Prediction,
@@ -212,9 +200,8 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
     the store holds this scale or this scale has stopped. A failing
     scale sets `failed` first, so every later scale sees it once its
     wait returns and stops before fusing into a store that lacks the
-    failed scale. In a sequential run `after` is always set already, so
-    no wait blocks and the idle-core count is never touched. `t_start`
-    is the run's start on the perf_counter clock.
+    failed scale. `t_start` is the run's start on the perf_counter
+    clock.
     """
     try:
         backbone_cfg = cfg.backbone
@@ -226,7 +213,7 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
                        need_cache=False)
         t1 = time.perf_counter()
         if after is not None:
-            _wait_lending(after)
+            after.wait()
             if failed.is_set():
                 return None
         fuse_ms = 0.0
@@ -263,19 +250,17 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     any worker exists; if it fails, its error is raised and no other
     scale starts. The rest with points go to one worker loop, and
     threaded only chooses its worker count: min(scales left, cores) when
-    set, else 1. One worker is the calling thread itself; with more, the
-    calling thread only waits and lends its core, and every worker's
-    core is reserved before the first starts. Each worker takes the
-    lowest scale not yet started and runs it to the end, lending its
-    core while it blocks on the previous scale with points. On 4 or more
-    cores the later scales thus wait for scale 1 to end, a schedule not
-    yet measured there. Once a scale has failed, no worker takes
-    another, and the lowest failed scale's error is raised here. A scale
-    with no points never runs: its empty prediction exists from the
-    start, so its ScaleTiming is all zero, `labels_ms` included. Scale i
-    fuses with exactly scales 1..i-1 under any worker count, so the
-    predictions are bit-identical to a sequential run. `labels_ms` is
-    the wall time from this call's start until a prediction existed.
+    set, else 1. The calling thread is worker 0 and starts the others;
+    each worker takes the lowest scale not yet started and runs it to
+    the end. On 4 or more cores the later scales thus wait for scale 1
+    to end, a schedule not yet measured there. Once a scale has failed,
+    no worker takes another, and the lowest failed scale's error is
+    raised here. A scale with no points never runs: its empty prediction
+    exists from the start, so its ScaleTiming is all zero, `labels_ms`
+    included. Scale i fuses with exactly scales 1..i-1 under any worker
+    count, so the predictions are bit-identical to a sequential run.
+    `labels_ms` is the wall time from this call's start until a
+    prediction existed.
     """
     t_start = time.perf_counter()
     s = parts.num_scales
@@ -309,35 +294,31 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     take = threading.Lock()
 
     def work():
-        while not failed.is_set():
-            with take:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                run(i)
-            except Exception as exc:  # re-raised below, in the caller
-                errors[i] = exc
-
-    def work_on_own_core():
         try:
-            work()
+            while not failed.is_set():
+                with take:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    run(i)
+                except Exception as exc:  # re-raised below, in the caller
+                    errors[i] = exc
         finally:
             _kernels.idle_cores.release(1)
 
-    num_workers = min(len(scales) - 1, _cores()) if threaded else 1
-    if num_workers <= 1:
+    # the calling thread is worker 0; the helpers' cores are reserved
+    # before the first starts, so no KNN call splits onto one of them
+    num_workers = max(1, min(len(scales) - 1, _cores())) if threaded else 1
+    _kernels.idle_cores.reserve(num_workers - 1)
+    helpers = [threading.Thread(target=work, name=f"scaleseg-worker-{k}")
+               for k in range(1, num_workers)]
+    for w in helpers:
+        w.start()
+    try:
         work()
-    else:
-        # every worker's core is reserved before the first starts, so no
-        # KNN splits onto a core a later worker is about to need
-        _kernels.idle_cores.reserve(num_workers - 1)
-        workers = [threading.Thread(target=work_on_own_core,
-                                    name=f"scaleseg-worker-{k + 1}")
-                   for k in range(num_workers)]
-        for w in workers:
-            w.start()
-        for w in workers:
+    finally:
+        for w in helpers:
             w.join()
         _kernels.idle_cores.reserve(1)
     if errors:  # the lowest failed scale's error is the root cause

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scaleseg import cli
-from scaleseg.backbone import init_params
+from scaleseg.backbone import BackboneConfig, init_params
 from scaleseg.checkpoint import load_checkpoint, save_checkpoint
 from scaleseg.cloud import PointCloud
 from scaleseg.io import read_cloud, write_cloud
@@ -495,6 +495,22 @@ def test_infer_checkpoint_missing_tensor(tmp_path, trained, capsys):
     assert run(["infer", "--in", str(scene), "--models", str(bad),
                 "--voxel-sizes", "0.5,0.35"]) == 2
     assert "fuse_cw" in capsys.readouterr().err
+
+
+def test_infer_empty_checkpoint_of_huge_config(tmp_path, capsys):
+    # a tiny file that claims 100000-wide layers is checked against the
+    # expected shapes alone; no model of that size is allocated
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    for scale in range(1, 5):
+        save_checkpoint(bad / f"scale_{scale}.ckpt", {},
+                        BackboneConfig(13, feature_dim=100000))
+    assert run(["infer", "--in", str(scene), "--models", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "scale_1.ckpt" in err and "missing" in err
+    assert "'embed_w1'" in err and "'head_w'" in err
 
 
 @pytest.mark.parametrize("k_fuse", ["abc", "0"])

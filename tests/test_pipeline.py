@@ -325,28 +325,75 @@ def test_sequential_failure_stops_later_scales(monkeypatch):
 @pytest.mark.parametrize("threaded, cores", [(False, 4), (True, 1)])
 def test_one_worker_runs_on_the_calling_thread(monkeypatch, threaded, cores):
     # sequential, or threaded on one core: the caller runs every scale
-    # itself, no thread is started and no core is reserved or lent
+    # itself, no worker thread starts, and every KNN call sees the idle
+    # cores the run started with
     _set_cores(monkeypatch, cores)
+    pool = _kernels.CorePool(2)
+    monkeypatch.setattr(_kernels, "idle_cores", pool)
     cloud, parts, pcfg, models = make_setup(seed=3)
-    threads = set()
-    encode = pipeline.encode
+    threads, started, seen = set(), [], []
+    encode, thread, claim = pipeline.encode, threading.Thread, pool.claim
 
     def spy_encode(*args, **kwargs):
         threads.add(threading.current_thread())
         return encode(*args, **kwargs)
 
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a one-worker run started a thread")
+    def spy_thread(*args, name=None, **kwargs):
+        started.append(name)
+        return thread(*args, name=name, **kwargs)
 
-    def no_reserve(n):
-        raise AssertionError("a one-worker run reserved a core")
+    def spy_claim(want):
+        seen.append(pool.idle)
+        return claim(want)
 
     monkeypatch.setattr(pipeline, "encode", spy_encode)
-    monkeypatch.setattr(pipeline.threading, "Thread", no_thread)
-    monkeypatch.setattr(_kernels.idle_cores, "reserve", no_reserve)
+    monkeypatch.setattr(pipeline.threading, "Thread", spy_thread)
+    monkeypatch.setattr(pool, "claim", spy_claim)
     preds, report = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
     assert threads == {threading.current_thread()}
+    # KNN splits may start their helpers; no scale worker starts
+    assert [n for n in started if n != "scaleseg-knn"] == []
+    assert seen and set(seen) == {2}
+    assert pool.idle == 2
     assert len(preds) == len(report.scales) == parts.num_scales
+
+
+def test_no_thread_reserves_a_core_mid_scale(monkeypatch):
+    # scale 2's fuse sleeps, so the worker of scale 3 blocks on it; cores
+    # are reserved only before the workers start and after they end, never
+    # by a thread inside a scale
+    _set_cores(monkeypatch, 2)
+    pool = _kernels.CorePool(1)
+    monkeypatch.setattr(_kernels, "idle_cores", pool)
+    cloud, parts, pcfg, models = make_setup(seed=3)
+    running, mid_scale = {}, []
+    run_scale, fuse, reserve = pipeline._run_scale, pipeline.fuse, pool.reserve
+
+    def spy_run_scale(i, *args):
+        me = threading.current_thread()
+        running[me] = i + 1
+        try:
+            return run_scale(i, *args)
+        finally:
+            del running[me]
+
+    def spy_fuse(current, *args, **kwargs):
+        if current.scale_id == 2:
+            time.sleep(0.3)
+        return fuse(current, *args, **kwargs)
+
+    def spy_reserve(n):
+        scale = running.get(threading.current_thread())
+        if scale is not None:
+            mid_scale.append((scale, n))
+        reserve(n)
+
+    monkeypatch.setattr(pipeline, "_run_scale", spy_run_scale)
+    monkeypatch.setattr(pipeline, "fuse", spy_fuse)
+    monkeypatch.setattr(pool, "reserve", spy_reserve)
+    run_pipeline(models, cloud, parts, pcfg, threaded=True)
+    assert mid_scale == []
+    assert pool.idle == 1
 
 
 def test_threaded_stress_runs_each_scale_once(monkeypatch):
@@ -427,9 +474,9 @@ def test_threaded_runs_at_most_one_scale_per_worker(monkeypatch):
 
 
 def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
-    # on 2 cores both workers hold a core from the start: no KNN call may
-    # split while two scales plan and encode, however large, and scale 1,
-    # running alone, splits onto the core the waiting worker lends
+    # on 2 cores scale 1 runs before any worker exists and splits onto
+    # the idle core; then both workers hold a core, so no KNN call may
+    # split while two scales plan and encode, however large
     _set_cores(monkeypatch, 2)
     pool = _kernels.CorePool(1)
     monkeypatch.setattr(_kernels, "idle_cores", pool)
@@ -496,30 +543,6 @@ def test_threaded_scale_1_runs_alone(monkeypatch):
     assert all(first <= t.labels_ms for t in report.scales[1:])
     for a, b in zip(seq, thr):
         assert np.array_equal(a.logits, b.logits)
-
-
-def test_blocked_wait_lends_its_core(monkeypatch):
-    pool = _kernels.CorePool(0)
-    monkeypatch.setattr(_kernels, "idle_cores", pool)
-    done = threading.Event()
-    done.set()
-    pipeline._wait_lending(done)  # a wait that does not block lends nothing
-    assert pool.idle == 0
-    ready = threading.Event()
-    waiter = threading.Thread(target=pipeline._wait_lending, args=(ready,),
-                              daemon=True)
-    waiter.start()
-    try:
-        for _ in range(1000):
-            if pool.idle == 1:
-                break
-            time.sleep(0.01)
-        assert pool.idle == 1
-    finally:
-        ready.set()
-        waiter.join(timeout=10.0)
-    assert not waiter.is_alive()
-    assert pool.idle == 0
 
 
 def _sha(a):
