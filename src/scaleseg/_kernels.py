@@ -1,26 +1,61 @@
 """Brute-force exact KNN kernel in pure numpy.
 
-Squared distances are accumulated as (dx*dx + dy*dy) + dz*dz and
-neighbor ties are broken by lower point id, so results are
+Squared distances are accumulated as (dx*dx + dy*dy) + dz*dz in float64
+and neighbor ties are broken by lower point id, so results are
 deterministic and equal those of a plain per-query brute-force scan.
 
-Queries run in blocks of _CHUNK_ROWS rows against contiguous copies of
-the coordinate columns. Each block's distances are written into two
-(_CHUNK_ROWS, M) buffers, so the working set stays small enough to live
-in cache instead of streaming fresh temporaries through memory on every
-block.
+Each call first makes float32 copies of the coordinates for a screen.
+Points and queries are centred on their joint bounding-box midpoint in
+float64 and scaled by 2**-e, with e chosen so that the half-extent lies
+in [0.5, 1). A power-of-two scale is exact, and the scaled coordinates
+are at most 1 in magnitude, so float32 cannot overflow whatever the
+cloud's units or its distance from the origin; an underflowing value is
+off by less than 2**-149, which the slack below covers.
 
-Each block then selects its rows' k nearest without sorting or
-partitioning whole rows. A row's threshold tau is its k-th smallest
-distance over a strided sample of about _SAMPLE columns (the whole row
-when that sample holds fewer than k). The sample sets only the
-threshold: tau is at least the row's true k-th distance, so the
-candidates d2 <= tau hold every true neighbor, ties at the k-th distance
-included, and one stable sort of the block's candidates by (row,
-distance, id) yields each row's first k. A sample that misses a dense
-cluster makes tau loose and the candidate list long, which costs time
-but never changes a bit. The cost is still Q*M distance evaluations per
-call; the sample only shrinks what is sorted.
+Queries run in blocks of _CHUNK_ROWS rows. Each block's float32
+distances, in the same term order, are written into two (_CHUNK_ROWS, M)
+float32 buffers, so the working set stays small enough to live in cache
+instead of streaming fresh temporaries through memory on every block.
+A row's screen threshold is T = t + 2*delta, rounded up to float32,
+where t is the row's k-th smallest float32 distance over a strided
+sample of about _SAMPLE columns (the whole row when that sample holds
+fewer than k). Only the columns with a float32 distance <= T survive:
+their float64 distances are computed from the original coordinates in
+the kernel's term order, and one stable sort of the block's survivors
+by (row, distance, id) yields each row's first k. A sample that misses
+a dense cluster makes t loose and the survivor list long, which costs
+time but never changes a bit. Every call still evaluates Q*M distances;
+float32 makes each one cheaper, and the sample only shrinks what is
+recomputed and sorted.
+
+Why the bits cannot change. Write s = 2**-e, u = 2**-24 (the float32
+unit roundoff), R for the largest scaled coordinate magnitude (in
+[0.5, 1)), and, for one query and point, D for the exact squared
+distance, d64 for the float64 one the kernel returns and d32 for the
+float32 one the screen compares.
+  - A scaled coordinate is within (u + 2**-53) * R / (1 - u) <= 1.001*u*R
+    of s*(x - c), and the centre c is the same for queries and points,
+    so a difference of two float32 coordinates is within 2.002*u*R of
+    the exact scaled difference s*dx. The float32 subtraction adds at
+    most u*2R: the difference h it gives is within a = 4.002*u*R.
+  - Per axis, |h*h - (s*dx)**2| <= a*(4R + 2a) <= 16.01*u*R**2.
+  - A term of d32 is rounded at most three times (the square and two
+    additions), over nonnegative terms summing to at most 12.01*R**2:
+    at most 36.01*u*R**2 more.
+  - d64 is within a relative 5 * 2**-53 of D, and s**2 * D <= 12.01*R**2:
+    s**2 * |d64 - D| is below 1e-6*u*R**2.
+So |d32 - s**2 * d64| <= 85*u*R**2, below delta = _SLACK*u*R**2 with
+_SLACK = 96. The rest of the margin covers float32 underflow (less than
+2**-149 per operation), float64 underflow scaled by s**2, and the
+float64 rounding of t + 2*delta. At least k sample columns have
+d32 <= t, so at least k points have s**2 * d64 <= t + delta: the row's
+true k-th float64 distance, scaled, is at most t + delta. Every true
+neighbor, ties at the k-th distance included, then has
+d32 <= t + 2*delta <= T and survives the screen. The argument needs a
+half-extent within 2**+-_EXP_LIMIT, where float64 squares cannot
+overflow and their underflow is negligible once scaled; outside it (a
+cloud of one repeated point, or one wider than about 1e120) delta is
+infinite and every column survives.
 
 A call big enough to pay for threads splits its query rows into
 contiguous spans of whole blocks, one per core it can claim from
@@ -43,6 +78,7 @@ hold their cores from their start until they find no scale left, so a
 split never takes a core from another scale.
 """
 
+import math
 import os
 import threading
 
@@ -102,6 +138,14 @@ _SAMPLE = 1024
 # Candidate pairs (query rows x points) per span below which a thread
 # start and the interpreter-lock handoffs cost more than the span saves.
 _SPLIT_PAIRS = 1 << 20
+# Float32 unit roundoff.
+_U32 = 2.0 ** -24
+# The screen's slack is delta = _SLACK * _U32 * R**2, R the largest scaled
+# coordinate magnitude; 85 would do (see the module docstring).
+_SLACK = 96.0
+# Half-extents outside 2**+-_EXP_LIMIT get an infinite delta: float64
+# squares there may overflow or underflow, which delta does not cover.
+_EXP_LIMIT = 400
 
 
 def knn_topk(points, queries, k):
@@ -111,17 +155,20 @@ def knn_topk(points, queries, k):
     M >= 1.
     Returns (ids, d2), each (Q, min(k, M)), rows ascending by
     (squared distance, point id). Brute force, vectorized over query
-    blocks: every call evaluates Q*M point distances. A strided sample
-    of each distance row sets a threshold that every true neighbor
-    meets; only the points within it are sorted, so the sample changes
-    the time and never the result.
+    blocks: every call evaluates Q*M point distances, in float32. A
+    strided sample of each float32 row sets a threshold that every true
+    neighbor meets; only the points within it get their float64
+    distance and are sorted, so the screen changes the time and never
+    the result.
     """
     m = points.shape[0]
     k = min(int(k), m)
     nq = queries.shape[0]
     out = (np.empty((nq, k), dtype=np.int64), np.empty((nq, k), dtype=np.float64))
-    cols = ([np.ascontiguousarray(points[:, j]) for j in range(3)],
-            [np.ascontiguousarray(queries[:, j : j + 1]) for j in range(3)])
+    # (3, M + Q) coordinate rows: the points, then the queries
+    xyz = np.concatenate((points, queries)).T.copy()
+    cols = (xyz[:, :m], xyz[:, m:])
+    screen = _screen(xyz, m)
     blocks = -(-nq // _CHUNK_ROWS)
     # with no helper claimed there is one span, [0, nq), and no thread
     helpers = idle_cores.claim(min(blocks, nq * m // _SPLIT_PAIRS) - 1)
@@ -131,7 +178,7 @@ def knn_topk(points, queries, k):
 
     def run(lo, hi):
         try:
-            _topk_rows(*cols, k, lo, hi, *out)
+            _topk_rows(cols, screen, k, lo, hi, *out)
         except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 
@@ -141,7 +188,7 @@ def knn_topk(points, queries, k):
             t = threading.Thread(target=run, args=(lo, hi), name="scaleseg-knn")
             t.start()
             started.append(t)
-        _topk_rows(*cols, k, edges[0], edges[1], *out)
+        _topk_rows(cols, screen, k, edges[0], edges[1], *out)
     finally:
         for t in started:
             t.join()
@@ -151,14 +198,36 @@ def knn_topk(points, queries, k):
     return out
 
 
-def _topk_rows(pcols, qcols, k, lo, hi, out_idx, out_d2):
+def _screen(xyz, m):
+    """Float32 coordinates for the screen, and its slack delta.
+
+    xyz: (3, M + Q) float64 coordinate rows, the M points first. They are
+    centred on their bounding-box midpoint and scaled by 2**-e so that
+    the half-extent lies in [0.5, 1). Returns (point rows (3, M), query
+    columns (3, Q, 1), delta); delta is infinite when the half-extent is
+    outside [2**-_EXP_LIMIT, 2**_EXP_LIMIT].
+    """
+    lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+    half = float(np.max(hi * 0.5 - lo * 0.5))
+    _, e = math.frexp(half)
+    scaled = np.ldexp(xyz - (lo * 0.5 + hi * 0.5)[:, None], -e).astype(np.float32)
+    if 2.0 ** -_EXP_LIMIT <= half <= 2.0 ** _EXP_LIMIT:
+        delta = _SLACK * _U32 * float(np.abs(scaled).max()) ** 2
+    else:
+        delta = math.inf
+    return scaled[:, :m], scaled[:, m:, None], delta
+
+
+def _topk_rows(cols, screen, k, lo, hi, out_idx, out_d2):
     """Fill rows lo:hi of the outputs, one _CHUNK_ROWS block at a time."""
-    m = pcols[0].shape[0]
+    (px, py, pz), (qx, qy, qz) = cols
+    pcols, qcols, delta = screen
+    m = px.shape[0]
     step = _CHUNK_ROWS
     stride = max(1, m // _SAMPLE)
     if -(-m // stride) < k:  # the sample holds fewer than k columns
         stride = 1
-    d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float64)
+    d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float32)
     term_buf = np.empty_like(d2_buf)
     for b_lo in range(lo, hi, step):
         b_hi = min(b_lo + step, hi)
@@ -171,11 +240,23 @@ def _topk_rows(pcols, qcols, k, lo, hi, out_idx, out_d2):
             np.subtract(qc[b_lo:b_hi], pc, out=term)
             np.square(term, out=term)
             d2 += term
-        # tau bounds each row's true k-th distance from above
-        tau = np.partition(d2[:, ::stride], k - 1, axis=1)[:, k - 1]
-        cand = np.flatnonzero(d2 <= tau[:, None])
+        # t + delta bounds the row's scaled true k-th float64 distance,
+        # so every true neighbor has a float32 distance <= t + 2*delta;
+        # the cut is that bound rounded up to float32
+        t = np.partition(d2[:, ::stride], k - 1, axis=1)[:, k - 1]
+        bound = t.astype(np.float64) + 2.0 * delta
+        cut = bound.astype(np.float32)
+        np.nextafter(cut, np.float32(np.inf), out=cut, where=cut < bound)
+        cand = np.flatnonzero(d2 <= cut[:, None])
         row, col = np.divmod(cand, m)
-        cd2 = d2.ravel()[cand]
+        # the survivors' float64 distances, in the same term order
+        qrow = row + b_lo
+        cd2 = qx[qrow] - px[col]
+        cd2 *= cd2
+        for qc, pc in ((qy, py), (qz, pz)):
+            term64 = qc[qrow] - pc[col]
+            term64 *= term64
+            cd2 += term64
         # Order the candidates by (row, distance, id) and keep each row's
         # first k; every row has at least k. flatnonzero lists a row's
         # candidates by ascending id and lexsort is stable, so the id

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad input or file, 3 configuration error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -208,8 +209,16 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
 
 def _fresh_model(pcfg: PipelineConfig, scale_id, seed):
     """Untrained model of a scale id; 0 is the whole-cloud baseline."""
-    return ScaleModel(init_params(pcfg.backbone, seed=seed + (scale_id or 999),
-                                  with_fusion=scale_id > 1))
+    try:
+        params = init_params(pcfg.backbone, seed=seed + (scale_id or 999),
+                             with_fusion=scale_id > 1)
+    except MemoryError:
+        shapes = param_shapes(pcfg.backbone, with_fusion=scale_id > 1)
+        count = sum(math.prod(s) for s in shapes.values())
+        raise ConfigError(
+            f"feature_dim={pcfg.backbone.feature_dim}: a model of {count:,} "
+            f"parameters does not fit in memory") from None
+    return ScaleModel(params)
 
 
 def _record(kind, **fields):
@@ -398,6 +407,8 @@ def cmd_bench(args):
                          distance_evals=base.distance_evals))
     scalable_evals = report.total_distance_evals
     lines.append(_record("scalable", total_ms=report.total_ms,
+                         plan_ms=sum(s.plan_ms for s in report.scales),
+                         knn_queries=sum(s.knn_queries for s in report.scales),
                          distance_evals=scalable_evals))
     if all(n > 0 for n in parts.sizes):
         est = estimate_gain(parts.sizes)

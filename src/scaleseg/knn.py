@@ -2,8 +2,12 @@
 
 The index is brute force: every query evaluates the distance to every
 stored point, and those evaluations are added to an EvalCounter so
-pipeline runs can report measured pairwise work. Neighbor ties are
-broken by lower point id, which makes every query deterministic.
+pipeline runs can report measured pairwise work. The kernel screens
+those distances in float32 and computes the float64 distance of only
+the points that pass, with a slack that keeps every true neighbor, so
+ids and distances are those of a float64 scan (see `_kernels`).
+Neighbor ties are broken by lower point id, which makes every query
+deterministic.
 """
 
 import threading

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from scaleseg import cli
-from scaleseg.backbone import BackboneConfig, init_params
+from scaleseg.backbone import BackboneConfig, init_params, param_shapes
 from scaleseg.checkpoint import load_checkpoint, save_checkpoint
 from scaleseg.cloud import PointCloud
 from scaleseg.io import read_cloud, write_cloud
@@ -513,6 +514,26 @@ def test_infer_empty_checkpoint_of_huge_config(tmp_path, capsys):
     assert "'embed_w1'" in err and "'head_w'" in err
 
 
+def test_train_model_too_large_for_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # init_params stands in for a 100000-wide model that does not fit;
+    # nothing of that size is allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "init_params", no_memory)
+    models = tmp_path / "mm"
+    assert run(["train", "--scale", "1", "--models", str(models),
+                "--scenes", "1", "--points", "300", "--voxel-sizes", "0.5",
+                "--feature-dim", "100000"]) == 3
+    err = capsys.readouterr().err
+    count = sum(math.prod(s) for s in param_shapes(
+        BackboneConfig(num_classes=13, feature_dim=100000)).values())
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("configuration error: feature_dim=100000")
+    assert f"{count:,}" in err
+    assert not models.exists()
+
+
 @pytest.mark.parametrize("k_fuse", ["abc", "0"])
 def test_infer_checkpoint_bad_k_fuse(tmp_path, trained, capsys, k_fuse):
     scene = tmp_path / "t.rspc"
@@ -602,9 +623,13 @@ def test_bench_reports_ratios(capsys):
                                        / base["distance_evals"])
     assert base["distance_evals"] > base["knn_queries"] > 0
     assert 0 < base["plan_ms"] < base["wall_ms"]
-    for rec in _of_kind(out, "scale"):
+    scales = _of_kind(out, "scale")
+    for rec in scales:
         assert rec["distance_evals"] > rec["knn_queries"] > 0
         assert rec["plan_ms"] > 0
+    assert scalable["plan_ms"] == sum(rec["plan_ms"] for rec in scales)
+    assert scalable["knn_queries"] == sum(rec["knn_queries"] for rec in scales)
+    assert 0 < scalable["plan_ms"] < scalable["total_ms"]
     assert "Plan(ms)" in out
 
 

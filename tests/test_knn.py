@@ -31,9 +31,9 @@ def _split_knn(mp, points, queries, k):
     mp.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
     rows, spans = _kernels._topk_rows, []
 
-    def spy(pcols, qcols, k, lo, hi, *out):
+    def spy(cols, screen, k, lo, hi, *out):
         spans.append((lo, hi))
-        return rows(pcols, qcols, k, lo, hi, *out)
+        return rows(cols, screen, k, lo, hi, *out)
 
     mp.setattr(_kernels, "_topk_rows", spy)
     result = knn_topk(points, queries, k)
@@ -131,6 +131,83 @@ def test_sampled_threshold_matches_brute_reference(monkeypatch, name):
     _assert_matches_reference(points, queries, k, name, monkeypatch)
 
 
+def _screen_case(name, rng):
+    """(points, queries, k) of one case for the float32 screen."""
+    if name == "duplicates":
+        # 20 sites of 15 copies each; a query on a site has t = 0, and
+        # k = 17 reaches past the copies into the next site
+        sites = rng.uniform(-1.0, 1.0, size=(20, 3))
+        points = np.repeat(sites, 15, axis=0)
+        return points, np.concatenate([sites, sites + 1e-3]), 17
+    if name == "lattice-straddle":
+        # a 0.1 lattice far from the origin: equal lattice distances
+        # round apart in float64 and again in float32, and k = 9 cuts
+        # through the shell of distance 0.1
+        axis = np.arange(8) * 0.1
+        points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+        points = points.reshape(-1, 3) + 1234.5
+        return points, points[rng.choice(len(points), 70)], 9
+    if name == "one-point":
+        return rng.normal(size=(1, 3)), rng.normal(size=(40, 3)), 3
+    if name == "one-spot":
+        # every point and query at one spot: a zero half-extent
+        return np.full((30, 3), 7.25), np.full((40, 3), 7.25), 4
+    if name == "k-over-m":
+        return rng.normal(size=(50, 3)), rng.normal(size=(70, 3)), 54
+    points = rng.uniform(0.0, 20.0, size=(400, 3))
+    queries = rng.uniform(0.0, 20.0, size=(70, 3))
+    shift, scale = {"utm-offset": (np.array([5e5, 4.2e6, 150.0]), 1.0),
+                    "nanometre": (0.0, 5e-11), "terametre": (0.0, 5e10),
+                    "beyond-limit": (0.0, 5e128)}[name]
+    return points * scale + shift, queries * scale + shift, 8
+
+
+@pytest.mark.parametrize("name", [
+    "duplicates", "lattice-straddle", "utm-offset", "nanometre",
+    "terametre", "one-point", "k-over-m", "one-spot", "beyond-limit"])
+def test_float32_screen_matches_brute_reference(monkeypatch, name):
+    points, queries, k = _screen_case(name, np.random.default_rng(11))
+    xyz = np.concatenate((points, queries)).T.copy()
+    _, _, delta = _kernels._screen(xyz, points.shape[0])
+    if name in ("one-spot", "beyond-limit"):
+        assert delta == np.inf  # outside the bound's range: all survive
+    else:
+        assert 0 < delta < 1e-4  # the screen is on, not bypassed
+    _assert_matches_reference(points, queries, k, name, monkeypatch)
+
+
+def test_float32_screen_with_k_over_sample(monkeypatch):
+    # 300 points with a sample of 8 columns: stride 37 samples 9, fewer
+    # than k, so the whole float32 row sets t
+    monkeypatch.setattr(_kernels, "_SAMPLE", 8)
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1.0, 1.0, size=(300, 3)) + 5e5
+    queries = rng.uniform(-1.0, 1.0, size=(70, 3)) + 5e5
+    assert -(-300 // (300 // _kernels._SAMPLE)) < 12
+    _assert_matches_reference(points, queries, 12, "k over sample", monkeypatch)
+
+
+def test_zero_slack_loses_a_neighbor(monkeypatch):
+    # The query sits at the origin, point 1 at distance 1 and point 0 at
+    # 1 + 1e-9 in another direction. Float32 rounding orders the two at
+    # random, so without slack the true nearest, point 1, sometimes fails
+    # the screen; with it every trial is exact.
+    rng = np.random.default_rng(13)
+    query = np.zeros((1, 3))
+    lost = 0
+    for trial in range(100):
+        unit = rng.normal(size=(2, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        points = unit * np.array([[1.0 + 1e-9], [1.0]])
+        want = brute_reference(points, query, 1)
+        assert want[0].tolist() == [[1]]
+        _assert_bytes_equal(knn_topk(points, query, 1), want, f"trial {trial}")
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "_SLACK", 0.0)
+            lost += knn_topk(points, query, 1)[0].tolist() != [[1]]
+    assert lost > 0
+
+
 def test_collinear_oracle():
     # points at x = 0..4, query at 2.2: nearest two are ids 2 then 3
     points = np.zeros((5, 3))
@@ -181,11 +258,11 @@ def test_split_span_error_reaches_caller(monkeypatch, failing_lo):
     monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
     rows, ran = _kernels._topk_rows, []
 
-    def flaky(pcols, qcols, k, lo, hi, *out):
+    def flaky(cols, screen, k, lo, hi, *out):
         ran.append(lo)
         if lo == failing_lo:
             raise RuntimeError(f"span at row {lo} failed")
-        return rows(pcols, qcols, k, lo, hi, *out)
+        return rows(cols, screen, k, lo, hi, *out)
 
     monkeypatch.setattr(_kernels, "_topk_rows", flaky)
     rng = np.random.default_rng(6)
