@@ -4,7 +4,19 @@ A cloud is split into disjoint resolution scales; each scale is encoded by
 its own network while earlier scales' features are fused in through nearest
 neighbors. Predictions stream out scale by scale instead of waiting for the
 whole cloud.
+
+Importing the package sets each BLAS thread variable that is not already
+set to 1, which takes effect when numpy is not loaded yet: the scale
+workers and the neighbor search's span split already share the cores
+through one count, and BLAS threads of their own would compete with
+them. A value set beforehand wins.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .backbone import (
     BackboneConfig,

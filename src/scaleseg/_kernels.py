@@ -12,58 +12,74 @@ are at most 1 in magnitude, so float32 cannot overflow whatever the
 cloud's units or its distance from the origin; an underflowing value is
 off by less than 2**-149, which the slack below covers.
 
-Queries run in blocks of _CHUNK_ROWS rows. Each block's float32
-distances, in the same term order, are written into two (_CHUNK_ROWS, M)
-float32 buffers, so the working set stays small enough to live in cache
-instead of streaming fresh temporaries through memory on every block.
-A row's screen threshold is T = t + 2*delta, rounded up to float32,
-where t is the row's k-th smallest float32 distance over a strided
-sample of about _SAMPLE columns (the whole row when that sample holds
-fewer than k). Only the columns with a float32 distance <= T survive:
-their float64 distances are computed from the original coordinates in
-the kernel's term order, and one stable sort of the block's survivors
-by (row, distance, id) yields each row's first k. A sample that misses
-a dense cluster makes t loose and the survivor list long, which costs
-time but never changes a bit. Every call still evaluates Q*M distances;
-float32 makes each one cheaper, and the sample only shrinks what is
-recomputed and sorted.
+Queries run in blocks of _CHUNK_ROWS rows. Each call also builds two
+float32 factors from the scaled coordinates, A (Q, 5) with query rows
+[x, y, z, |q|**2, 1] and B (5, M) with point columns
+[-2x, -2y, -2z, 1, |p|**2], each squared norm summed in float64 and
+then rounded to float32. A block's float32 distances are one matrix
+product, A[block] @ B = |q|**2 + |p|**2 - 2 q.p, written into one
+(_CHUNK_ROWS, M) float32 buffer, so the working set stays small enough
+to live in cache instead of streaming fresh temporaries through memory
+on every block. A row's screen threshold is T = t + 2*delta, rounded up
+to float32, where t is the row's k-th smallest float32 distance over a
+strided sample of about _SAMPLE columns (the whole row when that sample
+holds fewer than k). Only the columns with a float32 distance <= T
+survive: their float64 distances are computed from the original
+coordinates in the kernel's term order, and a stable sort of the
+block's survivors by distance, then a stable radix sort by row, yields
+each row's first k by (distance, id). A sample that misses a dense
+cluster makes t loose and the survivor list long, which costs time but
+never changes a bit. Every call still evaluates Q*M distances; the
+matrix product makes each one cheaper, and the sample only shrinks what
+is recomputed and sorted.
 
 Why the bits cannot change. Write s = 2**-e, u = 2**-24 (the float32
-unit roundoff), R for the largest scaled coordinate magnitude (in
-[0.5, 1)), and, for one query and point, D for the exact squared
-distance, d64 for the float64 one the kernel returns and d32 for the
-float32 one the screen compares.
+unit roundoff), R for the largest scaled float32 coordinate magnitude
+(in [0.5, 1] up to rounding), and, for one query and point, D for the
+exact squared distance, d64 for the float64 one the kernel returns and
+d32 for the float32 one the screen compares. Let q and p be the query's
+and the point's float32 coordinate vectors and h = q - p, taken
+exactly, so |h|**2 = |q|**2 + |p|**2 - 2 q.p.
   - A scaled coordinate is within (u + 2**-53) * R / (1 - u) <= 1.001*u*R
     of s*(x - c), and the centre c is the same for queries and points,
-    so a difference of two float32 coordinates is within 2.002*u*R of
-    the exact scaled difference s*dx. The float32 subtraction adds at
-    most u*2R: the difference h it gives is within a = 4.002*u*R.
-  - Per axis, |h*h - (s*dx)**2| <= a*(4R + 2a) <= 16.01*u*R**2.
-  - A term of d32 is rounded at most three times (the square and two
-    additions), over nonnegative terms summing to at most 12.01*R**2:
-    at most 36.01*u*R**2 more.
+    so each component of h is within 2.002*u*R of the exact scaled
+    difference s*dx. With |h_i| <= 2R, |h_i**2 - (s*dx)**2| is at most
+    2.002*u*R * (4R + 2.002*u*R) <= 8.01*u*R**2 per axis:
+    |h|**2 is within 24.1*u*R**2 of s**2 * D.
+  - Squares of float32 values are exact in float64, and a norm of at
+    most 3R**2 takes two float64 additions and one float32 rounding, so
+    each stored norm is within 3.001*u*R**2 of the exact one: the exact
+    dot product of a row of A and a column of B is within 6.01*u*R**2 of
+    |h|**2.
+  - d32 is that 5-term dot product in float32. Whatever the order of
+    its additions, with or without fused multiply-adds, and however many
+    threads the matrix product runs on, its error is at most
+    gamma_5 = 5u / (1 - 5u) times the sum of the terms' magnitudes,
+    |q|**2 + |p|**2 + 2 sum_i |q_i p_i| <= 12.01*R**2: at most
+    60.01*u*R**2.
   - d64 is within a relative 5 * 2**-53 of D, and s**2 * D <= 12.01*R**2:
     s**2 * |d64 - D| is below 1e-6*u*R**2.
-So |d32 - s**2 * d64| <= 85*u*R**2, below delta = _SLACK*u*R**2 with
-_SLACK = 96. The rest of the margin covers float32 underflow (less than
-2**-149 per operation), float64 underflow scaled by s**2, and the
-float64 rounding of t + 2*delta. At least k sample columns have
-d32 <= t, so at least k points have s**2 * d64 <= t + delta: the row's
-true k-th float64 distance, scaled, is at most t + delta. Every true
-neighbor, ties at the k-th distance included, then has
-d32 <= t + 2*delta <= T and survives the screen. The argument needs a
-half-extent within 2**+-_EXP_LIMIT, where float64 squares cannot
-overflow and their underflow is negligible once scaled; outside it (a
-cloud of one repeated point, or one wider than about 1e120) delta is
-infinite and every column survives.
+So |d32 - s**2 * d64| <= 90.2*u*R**2, below delta = _SLACK*u*R**2 with
+_SLACK = 96. The rest of the margin, at least 5.8*u*R**2 >= 2**-24, is
+far above float32 underflow (less than 2**-149 for each of the fewer
+than twenty float32 roundings behind one distance), float64 underflow
+scaled by s**2, and the float64 rounding of t + 2*delta. At least k
+sample columns have d32 <= t, so at least k points have
+s**2 * d64 <= t + delta: the row's true k-th float64 distance, scaled,
+is at most t + delta. Every true neighbor, ties at the k-th distance
+included, then has d32 <= t + 2*delta <= T and survives the screen.
+The argument needs a half-extent within 2**+-_EXP_LIMIT, where float64
+squares cannot overflow and their underflow is negligible once scaled;
+outside it (a cloud of one repeated point, or one wider than about
+1e120) delta is infinite and every column survives.
 
 A call big enough to pay for threads splits its query rows into
 contiguous spans of whole blocks, one per core it can claim from
 `idle_cores`. The calling thread runs the first span and short-lived
-helper threads run the others, each with its own pair of block buffers
-and writing disjoint rows of the output; numpy releases the interpreter
-lock inside the distance, threshold and sort calls, so the spans run at
-once.
+helper threads run the others, each with its own block buffer and
+writing disjoint rows of the output; numpy releases the interpreter
+lock inside the matrix product and the threshold and sort calls, so the
+spans run at once.
 No thread outlives the call, and a helper's error is raised in the
 caller after every helper has joined. A row goes through the same
 operations on the same inputs whichever span holds it, so a split call
@@ -141,7 +157,7 @@ _SPLIT_PAIRS = 1 << 20
 # Float32 unit roundoff.
 _U32 = 2.0 ** -24
 # The screen's slack is delta = _SLACK * _U32 * R**2, R the largest scaled
-# coordinate magnitude; 85 would do (see the module docstring).
+# coordinate magnitude; 90.2 would do (see the module docstring).
 _SLACK = 96.0
 # Half-extents outside 2**+-_EXP_LIMIT get an infinite delta: float64
 # squares there may overflow or underflow, which delta does not cover.
@@ -199,47 +215,51 @@ def knn_topk(points, queries, k):
 
 
 def _screen(xyz, m):
-    """Float32 coordinates for the screen, and its slack delta.
+    """The screen's matrix factors, and its slack delta.
 
     xyz: (3, M + Q) float64 coordinate rows, the M points first. They are
-    centred on their bounding-box midpoint and scaled by 2**-e so that
-    the half-extent lies in [0.5, 1). Returns (point rows (3, M), query
-    columns (3, Q, 1), delta); delta is infinite when the half-extent is
-    outside [2**-_EXP_LIMIT, 2**_EXP_LIMIT].
+    centred on their bounding-box midpoint, scaled by 2**-e so that the
+    half-extent lies in [0.5, 1) and rounded to float32; each squared
+    norm is summed in float64 and rounded to float32. Returns (A, B,
+    delta): A is (Q, 5) float32 with query rows [x, y, z, |q|**2, 1], B
+    is (5, M) float32 with point columns [-2x, -2y, -2z, 1, |p|**2], so
+    A @ B holds the screen distances. delta is infinite when the
+    half-extent is outside [2**-_EXP_LIMIT, 2**_EXP_LIMIT].
     """
     lo, hi = xyz.min(axis=1), xyz.max(axis=1)
     half = float(np.max(hi * 0.5 - lo * 0.5))
     _, e = math.frexp(half)
     scaled = np.ldexp(xyz - (lo * 0.5 + hi * 0.5)[:, None], -e).astype(np.float32)
+    norms = np.square(scaled, dtype=np.float64).sum(axis=0).astype(np.float32)
+    a = np.ones((xyz.shape[1] - m, 5), dtype=np.float32)
+    a[:, :3] = scaled[:, m:].T
+    a[:, 3] = norms[m:]
+    b = np.ones((5, m), dtype=np.float32)
+    np.multiply(scaled[:, :m], -2.0, out=b[:3])
+    b[4] = norms[:m]
     if 2.0 ** -_EXP_LIMIT <= half <= 2.0 ** _EXP_LIMIT:
         delta = _SLACK * _U32 * float(np.abs(scaled).max()) ** 2
     else:
         delta = math.inf
-    return scaled[:, :m], scaled[:, m:, None], delta
+    return a, b, delta
 
 
 def _topk_rows(cols, screen, k, lo, hi, out_idx, out_d2):
     """Fill rows lo:hi of the outputs, one _CHUNK_ROWS block at a time."""
     (px, py, pz), (qx, qy, qz) = cols
-    pcols, qcols, delta = screen
+    a, b, delta = screen
     m = px.shape[0]
     step = _CHUNK_ROWS
+    # block row numbers fit this type, whose stable sort is a radix sort
+    row_type = np.min_scalar_type(step - 1)
     stride = max(1, m // _SAMPLE)
     if -(-m // stride) < k:  # the sample holds fewer than k columns
         stride = 1
     d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float32)
-    term_buf = np.empty_like(d2_buf)
     for b_lo in range(lo, hi, step):
         b_hi = min(b_lo + step, hi)
         d2 = d2_buf[: b_hi - b_lo]
-        term = term_buf[: b_hi - b_lo]
-        # Accumulate in place in the term order (dx*dx + dy*dy) + dz*dz.
-        np.subtract(qcols[0][b_lo:b_hi], pcols[0], out=d2)
-        np.square(d2, out=d2)
-        for qc, pc in zip(qcols[1:], pcols[1:]):
-            np.subtract(qc[b_lo:b_hi], pc, out=term)
-            np.square(term, out=term)
-            d2 += term
+        np.matmul(a[b_lo:b_hi], b, out=d2)
         # t + delta bounds the row's scaled true k-th float64 distance,
         # so every true neighbor has a float32 distance <= t + 2*delta;
         # the cut is that bound rounded up to float32
@@ -249,7 +269,8 @@ def _topk_rows(cols, screen, k, lo, hi, out_idx, out_d2):
         np.nextafter(cut, np.float32(np.inf), out=cut, where=cut < bound)
         cand = np.flatnonzero(d2 <= cut[:, None])
         row, col = np.divmod(cand, m)
-        # the survivors' float64 distances, in the same term order
+        # the survivors' float64 distances, in the term order
+        # (dx*dx + dy*dy) + dz*dz
         qrow = row + b_lo
         cd2 = qx[qrow] - px[col]
         cd2 *= cd2
@@ -259,9 +280,10 @@ def _topk_rows(cols, screen, k, lo, hi, out_idx, out_d2):
             cd2 += term64
         # Order the candidates by (row, distance, id) and keep each row's
         # first k; every row has at least k. flatnonzero lists a row's
-        # candidates by ascending id and lexsort is stable, so the id
+        # candidates by ascending id and both sorts are stable, so the id
         # needs no key of its own.
-        order = np.lexsort((cd2, row))
+        order = np.argsort(cd2, kind="stable")
+        order = order[np.argsort(row[order].astype(row_type), kind="stable")]
         starts = np.searchsorted(row, np.arange(b_hi - b_lo))
         take = order[starts[:, None] + np.arange(k)]
         out_idx[b_lo:b_hi] = col[take]

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
+from ._kernels import backend
 from .backbone import BackboneConfig, ScaleModel, init_params, param_shapes
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .cloud import (CloudExtentError, PartitionConfig, build_partitions,
@@ -227,6 +228,13 @@ def _record(kind, **fields):
     return json.dumps({"record": kind, **fields}, allow_nan=False)
 
 
+def _run_record():
+    """What ran: the KNN kernel and the BLAS threads, as OpenBLAS reads
+    them from OPENBLAS_NUM_THREADS (see the package docstring)."""
+    return _record("run", backend=backend(),
+                   blas_threads=os.environ.get("OPENBLAS_NUM_THREADS"))
+
+
 def _gain_record(est):
     return _record("gain", sizes=list(est.sizes), whole_cost=est.whole_cost,
                    scalable_cost=est.scalable_cost, gain=est.gain,
@@ -363,7 +371,7 @@ def cmd_infer(args):
     preds, report = run_pipeline(models, cloud, parts, pcfg,
                                  threaded=args.threaded,
                                  fusion_enabled=not args.no_fusion)
-    for line in _scale_lines(report, arrivals):
+    for line in [_run_record(), *_scale_lines(report, arrivals)]:
         print(line)
     if args.out:
         idx = np.concatenate(parts.partitions)
@@ -400,7 +408,7 @@ def cmd_bench(args):
                              threaded=args.threaded)
     _, base_report = run_pipeline([baseline], cloud, parts.union(), pcfg)
     [base] = base_report.scales
-    lines = _scale_lines(report)
+    lines = [_run_record(), *_scale_lines(report)]
     lines.append(_record("baseline", n_points=base.n_points,
                          wall_ms=base.duration_ms, plan_ms=base.plan_ms,
                          knn_queries=base.knn_queries,
@@ -438,7 +446,7 @@ def cmd_eval(args):
     table_rows = [[r["scale"], r["method"], f"{r['oacc']:.4f}",
                    f"{r['macc']:.4f}", f"{r['miou']:.4f}",
                    f"{r['cumulative_ms']:.1f}"] for r in rows]
-    lines = ([_record("metrics", **row) for row in rows]
+    lines = ([_run_record()] + [_record("metrics", **row) for row in rows]
              + _table(headers, table_rows))
     _emit(lines, args.out)
     return 0

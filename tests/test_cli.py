@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +357,29 @@ def test_infer_round_trip(tmp_path, trained, capsys):
     labeled = read_cloud(pred_path)
     assert labeled.labels is not None
     assert labeled.labels.max() < 4
+
+
+@pytest.mark.parametrize("setting, reported", [(None, "1"), ("2", "2")],
+                         ids=["unset", "openblas-2"])
+def test_infer_reports_blas_threads(tmp_path, trained, setting, reported):
+    # a fresh interpreter, since BLAS reads the variables once, when numpy
+    # loads: the package import sets one thread unless the user set one
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "1500", "--classes", "4", "--seed", "9",
+         "--out", str(scene)])
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    done = subprocess.run(
+        [sys.executable, "-m", "scaleseg.cli", "infer", "--in", str(scene),
+         "--models", str(trained), "--voxel-sizes", "0.5,0.35", "--threaded"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    [rec] = _of_kind(done.stdout, "run")
+    assert rec == {"record": "run", "backend": "numpy",
+                   "blas_threads": reported}
 
 
 def test_infer_bad_arrivals(tmp_path, trained, monkeypatch):

@@ -154,6 +154,8 @@ def _screen_case(name, rng):
         return np.full((30, 3), 7.25), np.full((40, 3), 7.25), 4
     if name == "k-over-m":
         return rng.normal(size=(50, 3)), rng.normal(size=(70, 3)), 54
+    if name == "opposite-corners":
+        return _corners(rng, 400), _corners(rng, 70), 8
     points = rng.uniform(0.0, 20.0, size=(400, 3))
     queries = rng.uniform(0.0, 20.0, size=(70, 3))
     shift, scale = {"utm-offset": (np.array([5e5, 4.2e6, 150.0]), 1.0),
@@ -162,9 +164,18 @@ def _screen_case(name, rng):
     return points * scale + shift, queries * scale + shift, 8
 
 
+def _corners(rng, n):
+    """n points within 1% of the corners of the box [0, 20]**3: once
+    centred, every squared norm is near 3R**2, so |q|**2 + |p|**2 - 2 q.p
+    cancels the most."""
+    corner = rng.integers(0, 2, size=(n, 3)) * 20.0
+    return corner + rng.uniform(-0.2, 0.2, size=(n, 3)).clip(-corner, 20.0 - corner)
+
+
 @pytest.mark.parametrize("name", [
     "duplicates", "lattice-straddle", "utm-offset", "nanometre",
-    "terametre", "one-point", "k-over-m", "one-spot", "beyond-limit"])
+    "terametre", "one-point", "k-over-m", "one-spot", "beyond-limit",
+    "opposite-corners"])
 def test_float32_screen_matches_brute_reference(monkeypatch, name):
     points, queries, k = _screen_case(name, np.random.default_rng(11))
     xyz = np.concatenate((points, queries)).T.copy()
@@ -174,6 +185,26 @@ def test_float32_screen_matches_brute_reference(monkeypatch, name):
     else:
         assert 0 < delta < 1e-4  # the screen is on, not bypassed
     _assert_matches_reference(points, queries, k, name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["random", "corners", "utm-offset"])
+def test_screen_error_within_delta(name):
+    # the bound the exactness argument rests on, pair by pair:
+    # |A @ B - s**2 * d64| <= delta, s the power of two the call scales by
+    rng = np.random.default_rng(14)
+    if name == "corners":
+        points, queries = _corners(rng, 2000), _corners(rng, 300)
+    else:
+        shift = np.array([5e5, 4.2e6, 150.0]) if name == "utm-offset" else 0.0
+        points = rng.uniform(0.0, 20.0, size=(2000, 3)) + shift
+        queries = rng.uniform(0.0, 20.0, size=(300, 3)) + shift
+    xyz = np.concatenate((points, queries)).T.copy()
+    a, b, delta = _kernels._screen(xyz, points.shape[0])
+    lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+    _, e = np.frexp(np.max(hi * 0.5 - lo * 0.5))
+    d64 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    err = np.abs((a @ b).astype(np.float64) - np.ldexp(d64, -2 * int(e)))
+    assert 0 < err.max() <= delta
 
 
 def test_float32_screen_with_k_over_sample(monkeypatch):
