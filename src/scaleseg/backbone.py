@@ -19,6 +19,7 @@ constants of the graph and receive no gradient. Both halves require
 >= 1 input point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class BackboneConfig:
             raise ValueError("encoder_stages must be >= 1")
         if self.attention_neighbors < 1 or self.interp_neighbors < 1:
             raise ValueError("neighbor counts must be >= 1")
-        if self.downsample_factor < 1.0:
-            raise ValueError("downsample_factor must be >= 1")
+        if not math.isfinite(self.downsample_factor) or self.downsample_factor < 1.0:
+            raise ValueError("downsample_factor must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def encode_bwd(g, cache, model):
 # ---------------------------------------------------------------------------
 # decode
 
-def decode(model, fused: FeatureMatrix, positions, cfg, interp, need_cache=True):
+def decode(model, fused: FeatureMatrix, positions, cfg, interp):
     """Coarse features -> Prediction for every partition point.
 
     positions: (N, 3) of the full partition; every row receives logits.
@@ -298,8 +299,7 @@ def decode(model, fused: FeatureMatrix, positions, cfg, interp, need_cache=True)
         cur, rm = relu_fwd(z)
         lcaches.append((lc, rm))
     logits, hc = linear_fwd(cur, p["head_w"], p["head_b"])
-    cache = (ic, lcaches, hc) if need_cache else None
-    return Prediction(logits), cache
+    return Prediction(logits), (ic, lcaches, hc)
 
 
 def decode_bwd(g, cache, model):

@@ -7,7 +7,8 @@ Layout (little-endian):
 
 meta is a key=value block (one pair per line) holding every
 BackboneConfig field plus caller extras; loading returns any other key,
-such as the input width that older files stored, as an extra. Floats
+such as the input width that older files stored, as an extra. A
+metadata key or tensor name that appears twice is a format error. Floats
 are written with repr so the round trip is value-exact; tensor data
 round-trips bit-exactly.
 """
@@ -91,6 +92,8 @@ def load_checkpoint(path):
     meta = {}
     for line in r.text(meta_len).splitlines():
         key, _, value = line.partition("=")
+        if key in meta:
+            raise CheckpointFormatError(f"{path}: duplicate metadata key {key!r}")
         meta[key] = value
     try:
         cfg = BackboneConfig(**{f.name: f.type(meta.pop(f.name))
@@ -102,6 +105,8 @@ def load_checkpoint(path):
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len)
+        if name in params:
+            raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
         # Python integers: a product of u64 dims never wraps around

@@ -8,6 +8,7 @@ by a counter-style hash of (seed, scale, voxel key), so the result does
 not depend on point order and is reproducible.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,8 +84,8 @@ class PartitionConfig:
         sizes = tuple(float(v) for v in self.voxel_sizes)
         if len(sizes) < 1:
             raise ValueError("need at least one voxel size")
-        if any(v <= 0 for v in sizes):
-            raise ValueError("voxel sizes must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in sizes):
+            raise ValueError("voxel sizes must be positive and finite")
         if any(b >= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("voxel sizes must be strictly decreasing")
         object.__setattr__(self, "voxel_sizes", sizes)

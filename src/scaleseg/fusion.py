@@ -16,7 +16,6 @@ import numpy as np
 
 from .backbone import FeatureMatrix
 from .knn import NeighborIndex
-from .layers import _BLOCK
 
 
 class FeatureStore:
@@ -76,19 +75,8 @@ def fusion_neighbors(store: FeatureStore, positions, k_fuse, counter=None):
     return _store_neighbors(store.merged()[0], positions, k_fuse, counter)
 
 
-def _fuse_rows(feats, sfeat, idx, sl, params):
-    """Fusion math for query rows sl; returns (out, gathered, h, arg, cat)."""
-    gathered = sfeat[idx[sl]]  # (B, k, F)
-    h = gathered @ params["fuse_cw"] + params["fuse_cb"]
-    r = np.maximum(h, 0.0)
-    arg = r.argmax(axis=1)  # (B, F), first max wins on ties
-    pooled = np.take_along_axis(r, arg[:, None, :], axis=1)[:, 0, :]
-    cat = np.concatenate([feats[sl], pooled], axis=1)
-    return cat @ params["fuse_fw"] + params["fuse_fb"], gathered, h, arg, cat
-
-
 def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
-         counter=None, need_cache=True, neighbors=None):
+         counter=None, neighbors=None):
     """Enrich current features with the store; positions pass through.
 
     Returns (FeatureMatrix, cache). k_fuse is clamped to the store size.
@@ -105,18 +93,17 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     spos, sfeat = store.merged()
     idx = (neighbors if neighbors is not None
            else _store_neighbors(spos, current.positions, k_fuse, counter))
-
-    if need_cache:
-        out, gathered, h, arg, cat = _fuse_rows(feats, sfeat, idx, slice(None),
-                                                params)
-        return (FeatureMatrix(current.positions, out, current.scale_id),
-                (gathered, h > 0.0, arg, cat, feats.shape[1]))
-    n = feats.shape[0]
-    out = np.empty((n, params["fuse_fw"].shape[1]), dtype=np.float64)
-    for s in range(0, n, _BLOCK):
-        sl = slice(s, min(s + _BLOCK, n))
-        out[sl] = _fuse_rows(feats, sfeat, idx, sl, params)[0]
-    return FeatureMatrix(current.positions, out, current.scale_id), None
+    gathered = sfeat[idx]  # (N, k, F)
+    r = gathered @ params["fuse_cw"]
+    r += params["fuse_cb"]
+    mask = r > 0.0
+    np.maximum(r, 0.0, out=r)  # in place: one (N, k, F) array less at peak
+    arg = r.argmax(axis=1)  # (N, F), first max wins on ties
+    pooled = np.take_along_axis(r, arg[:, None, :], axis=1)[:, 0, :]
+    cat = np.concatenate([feats, pooled], axis=1)
+    out = cat @ params["fuse_fw"] + params["fuse_fb"]
+    return (FeatureMatrix(current.positions, out, current.scale_id),
+            (gathered, mask, arg, cat, feats.shape[1]))
 
 
 def fuse_bwd(g, cache, params):

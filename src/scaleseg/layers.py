@@ -13,10 +13,12 @@ import numpy as np
 
 from .cloud import voxel_groups
 
-# Query block size for attention/fusion forwards that keep no cache: it
-# keeps the transient (B, k, F) tensors small on big clouds. A caching
-# forward keeps those tensors for every row anyway, so it runs in one
-# pass. Blocking changes no per-row arithmetic.
+# Query block size for an attention forward with need_cache=False: it
+# keeps the transient (B, k, F) tensors small on big clouds, where
+# stage-0 attention runs over a whole partition. A caching forward keeps
+# those tensors for every row anyway, so it runs in one pass. Blocking
+# changes no per-row arithmetic. Only attention_fwd (and encode, which
+# passes the flag on) blocks; fusion and decode always run in one pass.
 _BLOCK = 8192
 
 

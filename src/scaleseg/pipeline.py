@@ -220,16 +220,15 @@ def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
         fused = fm
         if fusion_enabled and store.size > 0:
             tf = time.perf_counter()
-            fused, _ = fuse(fm, store, model.params, cfg.k_fuse,
-                            counter=counter, need_cache=False)
+            fused = fuse(fm, store, model.params, cfg.k_fuse,
+                         counter=counter)[0]
             fuse_ms = (time.perf_counter() - tf) * 1e3
         store.add_scale(fused)
         ready.set()
         t2 = time.perf_counter()
         interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
         ti = time.perf_counter()
-        pred, _ = decode(model, fused, part_pos, backbone_cfg, interp,
-                         need_cache=False)
+        pred = decode(model, fused, part_pos, backbone_cfg, interp)[0]
         t3 = time.perf_counter()
         return pred, ScaleTiming(
             i + 1, part_pos.shape[0], fm.n, (tp - t0 + ti - t2) * 1e3,

@@ -8,6 +8,7 @@ color plus Gaussian noise, quantized to the 8-bit grid so files
 round-trip exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,16 @@ class SceneSpec:
 
     def __post_init__(self):
         ext = tuple(float(e) for e in self.extents)
-        if len(ext) != 3 or any(e <= 0 for e in ext):
-            raise ValueError("extents must be three positive reals")
+        if len(ext) != 3 or not all(math.isfinite(e) and e > 0 for e in ext):
+            raise ValueError("extents must be three positive finite reals")
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.num_objects < 1:
             raise ValueError("num_objects must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be finite and >= 0")
         object.__setattr__(self, "extents", ext)
 
 

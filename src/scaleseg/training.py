@@ -7,6 +7,7 @@ before and after. The loss is softmax cross-entropy over the current
 scale's partition points only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -51,8 +52,7 @@ def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
         fm, _ = encode(models[j], positions, feats_all[idx], stages,
                        scale_id=j + 1, need_cache=False)
         if store.size > 0:
-            fm, _ = fuse(fm, store, models[j].params, cfg.k_fuse,
-                         need_cache=False)
+            fm = fuse(fm, store, models[j].params, cfg.k_fuse)[0]
         store.add_scale(fm)
     return store
 

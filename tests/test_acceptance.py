@@ -209,9 +209,8 @@ def test_criterion_5_gradient_correctness(capsys):
         store.add_scale(fm1)
         fm2, ec = encode(model, pos2, feats2, stages2, scale_id=2,
                          need_cache=need_cache)
-        fused, fc = fuse(fm2, store, model.params, 4, need_cache=need_cache)
-        pred, dc = decode(model, fused, pos2, bcfg, interp2,
-                          need_cache=need_cache)
+        fused, fc = fuse(fm2, store, model.params, 4)
+        pred, dc = decode(model, fused, pos2, bcfg, interp2)
         loss, dlogits = softmax_cross_entropy(pred.logits, labels)
         return loss, dlogits, ec, fc, dc
 
@@ -362,10 +361,9 @@ def test_criterion_9_learning_sanity(capsys):
         fm, _ = encode(model, sub.positions, sub.xyzrgb(), stages, scale_id,
                        need_cache=False)
         if fusion_on:
-            fm, _ = fuse(fm, store, model.params, pcfg.k_fuse,
-                         need_cache=False)
+            fm, _ = fuse(fm, store, model.params, pcfg.k_fuse)
         interp = plan_interp(fm.positions, sub.positions, bcfg)
-        pred, _ = decode(model, fm, sub.positions, bcfg, interp, need_cache=False)
+        pred, _ = decode(model, fm, sub.positions, bcfg, interp)
         cm = ConfusionMatrix(3)
         cm.update(sub.labels, pred.labels)
         return compute_metrics(cm)[2]

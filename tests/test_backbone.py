@@ -154,7 +154,7 @@ def test_encode_decode_loss_gradcheck_spot():
 
     def loss():
         fm, _ = encode(model, positions, feats, stages, need_cache=False)
-        pred, _ = decode(model, fm, positions, cfg, interp, need_cache=False)
+        pred, _ = decode(model, fm, positions, cfg, interp)
         return softmax_cross_entropy(pred.logits, labels)[0]
 
     fm, ec = encode(model, positions, feats, stages)

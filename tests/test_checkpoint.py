@@ -96,6 +96,50 @@ def test_non_utf8_text(tmp_path, text):
         load_checkpoint(path)
 
 
+def _meta_span(data):
+    """(start, end) of the metadata block in checkpoint bytes."""
+    (meta_len,) = struct.unpack_from("<I", data, 9)
+    return 13, 13 + meta_len
+
+
+@pytest.mark.parametrize("line", [b"scale_id=3\n", b"feature_dim=8\n"],
+                         ids=["extra", "config-field"])
+def test_duplicate_metadata_key(tmp_path, line):
+    # a second line for a key would overwrite the first, even with the
+    # same value
+    c = cfg()
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c, extras={"scale_id": 2})
+    data = path.read_bytes()
+    start, end = _meta_span(data)
+    meta = data[start:end] + line
+    path.write_bytes(data[:9] + struct.pack("<I", len(meta)) + meta + data[end:])
+    key = line.split(b"=")[0].decode()
+    with pytest.raises(CheckpointFormatError,
+                       match=f"duplicate metadata key '{key}'"):
+        load_checkpoint(path)
+
+
+def test_duplicate_tensor_name(tmp_path):
+    # a second att0_ab1 record, all 7.0, after the others would overwrite
+    # the first and still have the expected shape
+    c = cfg()
+    params = init_params(c, seed=0)
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, params, c)
+    data = bytearray(path.read_bytes())
+    at = _meta_span(data)[1]
+    (count,) = struct.unpack_from("<I", data, at)
+    struct.pack_into("<I", data, at, count + 1)
+    extra = np.full(params["att0_ab1"].shape, 7.0)
+    data += (struct.pack("<H", 8) + b"att0_ab1"
+             + struct.pack("<BQ", 1, extra.size) + extra.tobytes())
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError,
+                       match="duplicate tensor 'att0_ab1'"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("dims", [(2 ** 62, 4), (2 ** 63, 0)],
                          ids=["count-overflows", "empty-dim-overflows"])
 def test_tensor_dims_beyond_int64(tmp_path, dims):

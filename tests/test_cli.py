@@ -91,20 +91,42 @@ def test_gain_rejects_garbage():
     assert run(["gain", "--sizes", "0,5"]) == 3
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["generate", "--points", "0"], "num_points must be >= 1"),
-    (["train", "--scale", "1", "--epochs", "0"], "epochs must be >= 1"),
-    (["train", "--scale", "1", "--feature-dim", "0"], "feature_dim"),
-    (["train", "--scale", "1", "--k-fuse", "0"], "k_fuse must be >= 1"),
-], ids=["points", "epochs", "feature-dim", "k-fuse"])
-def test_bad_config_value_is_config_error(tmp_path, capsys, argv, message):
-    if argv[0] == "generate":
-        argv = argv + ["--out", str(tmp_path / "s.rspc")]
-    else:
-        argv = argv + ["--models", str(tmp_path / "m"), "--scenes", "1",
+@pytest.mark.parametrize("argv,config,message", [
+    (["generate", "--points", "0"], None, "num_points must be >= 1"),
+    (["train", "--scale", "1", "--epochs", "0"], None, "epochs must be >= 1"),
+    (["train", "--scale", "1", "--feature-dim", "0"], None, "feature_dim"),
+    (["train", "--scale", "1", "--k-fuse", "0"], None, "k_fuse must be >= 1"),
+    (["partition", "--voxel-sizes", "nan,0.1"], None,
+     "voxel sizes must be positive and finite"),
+    (["partition", "--voxel-sizes", "inf,0.1"], None,
+     "voxel sizes must be positive and finite"),
+    (["generate", "--extents", "nan,8,3"], None,
+     "extents must be three positive finite reals"),
+    (["generate", "--noise", "nan"], None, "noise_sigma must be finite"),
+    (["train", "--scale", "1", "--learning-rate", "inf"], None,
+     "learning_rate must be finite"),
+    (["train", "--scale", "1"], "downsample_factor=inf\n",
+     "downsample_factor must be finite"),
+], ids=["points", "epochs", "feature-dim", "k-fuse", "voxel-nan", "voxel-inf",
+        "extents-nan", "noise-nan", "learning-rate-inf", "downsample-inf-config"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, argv, config,
+                                          message):
+    out = tmp_path / "out.txt"
+    models = tmp_path / "m"
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        argv = argv + ["--config", str(cfgfile)]
+    if argv[0] == "partition":
+        scene = tmp_path / "s.rspc"
+        assert run(["generate", "--points", "300", "--out", str(scene)]) == 0
+        argv = argv + ["--in", str(scene)]
+    elif argv[0] == "train":
+        argv = argv + ["--models", str(models), "--scenes", "1",
                        "--points", "300", "--voxel-sizes", "0.5"]
-    assert run(argv) == 3
+    assert run(argv + ["--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists() and not models.exists()
 
 
 def test_single_class_input_is_input_error(tmp_path, capsys):
@@ -590,6 +612,28 @@ def test_infer_non_finite_checkpoint(tmp_path, trained, capsys):
                 "--voxel-sizes", "0.5,0.35"]) == 2
     err = capsys.readouterr().err
     assert "scale_1.ckpt" in err and "att0_ab1" in err
+
+
+def test_infer_duplicate_tensor_checkpoint(tmp_path, trained, capsys):
+    # a second att0_ab1 record of the right shape would load in place of
+    # the first
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    params = load_checkpoint(trained / "scale_1.ckpt")[0]
+    data = bytearray((trained / "scale_1.ckpt").read_bytes())
+    (meta_len,) = struct.unpack_from("<I", data, 9)
+    (count,) = struct.unpack_from("<I", data, 13 + meta_len)
+    struct.pack_into("<I", data, 13 + meta_len, count + 1)
+    extra = np.full(params["att0_ab1"].shape, 7.0)
+    data += (struct.pack("<H", 8) + b"att0_ab1"
+             + struct.pack("<BQ", 1, extra.size) + extra.tobytes())
+    (bad / "scale_1.ckpt").write_bytes(bytes(data))
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "scale_1.ckpt" in err and "duplicate tensor 'att0_ab1'" in err
 
 
 def test_infer_non_utf8_checkpoint(tmp_path, trained, capsys):

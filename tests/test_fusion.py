@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from scaleseg import fusion as fusion_mod
 from scaleseg.backbone import FeatureMatrix
 from scaleseg.fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from scaleseg.knn import EvalCounter
@@ -126,33 +125,6 @@ def test_fuse_identity_reduction():
     params["fuse_fb"] = np.zeros(f)
     out, _ = fuse(current, store, params, k_fuse=3)
     assert np.array_equal(out.features, current.features)
-
-
-def test_fuse_chunked_forward_identical():
-    rng = np.random.default_rng(6)
-    f = 4
-    store = make_store(rng, f, [15, 9])
-    current = FeatureMatrix(rng.uniform(0, 4, size=(40, 3)),
-                            rng.normal(size=(40, f)), 3)
-    params = fuse_params(rng, f)
-    cached, full_cache = fuse(current, store, params, k_fuse=4, need_cache=True)
-    old = fusion_mod._BLOCK
-    fusion_mod._BLOCK = 7
-    try:
-        blocked, cache = fuse(current, store, params, k_fuse=4, need_cache=False)
-        blocked_cached, block_cache = fuse(current, store, params, k_fuse=4,
-                                           need_cache=True)
-    finally:
-        fusion_mod._BLOCK = old
-    assert cache is None
-    assert np.array_equal(cached.features, blocked.features)
-    assert np.array_equal(cached.features, blocked_cached.features)
-    g = rng.normal(size=cached.features.shape)
-    d_full, grads_full = fuse_bwd(g, full_cache, params)
-    d_block, grads_block = fuse_bwd(g, block_cache, params)
-    assert np.array_equal(d_full, d_block)
-    for name in grads_full:
-        assert np.array_equal(grads_full[name], grads_block[name])
 
 
 def test_fusion_neighbors_reused_by_fuse():

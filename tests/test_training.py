@@ -4,9 +4,10 @@ import pytest
 from scaleseg import backbone, knn
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
 from scaleseg.cloud import PartitionConfig, PointCloud, build_partitions
-from scaleseg.pipeline import PipelineConfig
+from scaleseg.fusion import FeatureStore
+from scaleseg.pipeline import PipelineConfig, run_pipeline
 from scaleseg.scene import SceneSpec, generate_scene
-from scaleseg.training import TrainConfig, evaluate, train_scale
+from scaleseg.training import TrainConfig, _build_store, evaluate, train_scale
 
 VOXELS = (0.5, 0.3)
 
@@ -128,6 +129,33 @@ def test_train_scale_searches_neighbors_once_per_call(monkeypatch):
     # its decode interpolation and its fusion search
     assert one_epoch.count("knn") == 2 * 5
     assert one_epoch.count("fusion") == 2
+
+
+def test_build_store_matches_pipeline_store(monkeypatch):
+    # training feeds its scale the frozen lower scales' store; it must hold
+    # the bytes that inference stores for those scales
+    cloud = generate_scene(SceneSpec(extents=(5.0, 5.0, 2.5), num_objects=5,
+                                     num_classes=3, num_points=4000,
+                                     noise_sigma=0.02, rng_seed=4))
+    parts = build_partitions(cloud, PartitionConfig(voxel_sizes=(0.5, 0.35, 0.25)))
+    assert all(n > 0 for n in parts.sizes)
+    pcfg = make_cfg()
+    models = [ScaleModel(init_params(pcfg.backbone, seed=s, with_fusion=s > 1))
+              for s in (1, 2, 3)]
+    added = []
+    add_scale = FeatureStore.add_scale
+
+    def spy(self, fm):
+        added.append((fm.scale_id, fm.positions.copy(), fm.features.copy()))
+        return add_scale(self, fm)
+
+    monkeypatch.setattr(FeatureStore, "add_scale", spy)
+    run_pipeline(models, cloud, parts, pcfg)
+    monkeypatch.undo()
+    assert [a[0] for a in added] == [1, 2, 3]
+    positions, features = _build_store(models, cloud, parts, 2, pcfg).merged()
+    assert positions.tobytes() == np.concatenate([a[1] for a in added[:2]]).tobytes()
+    assert features.tobytes() == np.concatenate([a[2] for a in added[:2]]).tobytes()
 
 
 def test_train_scale_preconditions():
