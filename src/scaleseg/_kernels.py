@@ -21,17 +21,27 @@ product, A[block] @ B = |q|**2 + |p|**2 - 2 q.p, written into one
 (_CHUNK_ROWS, M) float32 buffer, so the working set stays small enough
 to live in cache instead of streaming fresh temporaries through memory
 on every block. A row's screen threshold is T = t + 2*delta, rounded up
-to float32, where t is the row's k-th smallest float32 distance over a
-strided sample of about _SAMPLE columns (the whole row when that sample
-holds fewer than k). Only the columns with a float32 distance <= T
+to float32, where t is the row's k-th smallest float32 distance over
+its window (below). Only the columns with a float32 distance <= T
 survive: their float64 distances are computed from the original
 coordinates in the kernel's term order, and a stable sort of the
 block's survivors by distance, then a stable radix sort by row, yields
-each row's first k by (distance, id). A sample that misses a dense
-cluster makes t loose and the survivor list long, which costs time but
-never changes a bit. Every call still evaluates Q*M distances; the
-matrix product makes each one cheaper, and the sample only shrinks what
-is recomputed and sorted.
+each row's first k by (distance, id). Every call still evaluates Q*M
+distances; the matrix product makes each one cheaper, and the window
+only shrinks what is recomputed and sorted.
+
+A row's window is w = min(max(_WIN, k), M) distinct points that lie
+next to the query in Morton (Z-curve) order. Once per call every point
+and query gets a 30-bit Morton code, 10 bits per axis of its scaled
+coordinates, which lie in [-1, 1] for any cloud, so the quantisation
+cannot overflow; the points are stably sorted by code, and a query's
+window is the w sorted points around its code's insertion point. The
+window's distances are 5-term dot products of the same A and B
+factors, for _WIN_ROWS rows at a time. Z-order keeps most spatial
+neighbors close, but not all: a query just beside one of the curve's
+large jumps gets a window of far points, a loose t and a long survivor
+list, which costs time but never changes a bit. The window is only a
+bound, never the answer.
 
 Why the bits cannot change. Write s = 2**-e, u = 2**-24 (the float32
 unit roundoff), R for the largest scaled float32 coordinate magnitude
@@ -51,8 +61,9 @@ exactly, so |h|**2 = |q|**2 + |p|**2 - 2 q.p.
     each stored norm is within 3.001*u*R**2 of the exact one: the exact
     dot product of a row of A and a column of B is within 6.01*u*R**2 of
     |h|**2.
-  - d32 is that 5-term dot product in float32. Whatever the order of
-    its additions, with or without fused multiply-adds, and however many
+  - d32 is that 5-term dot product in float32, in the block's matrix
+    product or in a window's multiply-adds. Whatever the order of its
+    additions, with or without fused multiply-adds, and however many
     threads the matrix product runs on, its error is at most
     gamma_5 = 5u / (1 - 5u) times the sum of the terms' magnitudes,
     |q|**2 + |p|**2 + 2 sum_i |q_i p_i| <= 12.01*R**2: at most
@@ -63,11 +74,15 @@ So |d32 - s**2 * d64| <= 90.2*u*R**2, below delta = _SLACK*u*R**2 with
 _SLACK = 96. The rest of the margin, at least 5.8*u*R**2 >= 2**-24, is
 far above float32 underflow (less than 2**-149 for each of the fewer
 than twenty float32 roundings behind one distance), float64 underflow
-scaled by s**2, and the float64 rounding of t + 2*delta. At least k
-sample columns have d32 <= t, so at least k points have
-s**2 * d64 <= t + delta: the row's true k-th float64 distance, scaled,
-is at most t + delta. Every true neighbor, ties at the k-th distance
-included, then has d32 <= t + 2*delta <= T and survives the screen.
+scaled by s**2, and the float64 rounding of t + 2*delta. The window
+holds w >= k distinct points, and at least k of them have a window
+distance d32 <= t, so at least k points have s**2 * d64 <= t + delta:
+the row's true k-th float64 distance, scaled, is at most t + delta.
+Every true neighbor, ties at the k-th distance included, then has a
+block distance d32 <= t + 2*delta <= T and survives the screen. The
+window's and the block's d32 of one pair may round apart, so a window
+point need not survive its row's screen; the argument uses only the
+bound, which holds for each.
 The argument needs a half-extent within 2**+-_EXP_LIMIT, where float64
 squares cannot overflow and their underflow is negligible once scaled;
 outside it (a cloud of one repeated point, or one wider than about
@@ -79,7 +94,8 @@ contiguous spans of whole blocks, one per core it can claim from
 helper threads run the others, each with its own block buffer and
 writing disjoint rows of the output; numpy releases the interpreter
 lock inside the matrix product and the threshold and sort calls, so the
-spans run at once.
+spans run at once. The Morton codes and the sorted points are built
+before the split and shared; each span takes its own rows' windows.
 No thread outlives the call, and a helper's error is raised in the
 caller after every helper has joined. A row goes through the same
 operations on the same inputs whichever span holds it, so a split call
@@ -149,8 +165,10 @@ idle_cores = CorePool(_cores() - 1)
 
 # Query rows per distance block.
 _CHUNK_ROWS = 32
-# Columns of each distance row sampled for the selection threshold.
-_SAMPLE = 1024
+# Morton-adjacent points in each row's threshold window (k when larger).
+_WIN = 32
+# Query rows whose window distances are computed at a time.
+_WIN_ROWS = 4096
 # Candidate pairs (query rows x points) per span below which a thread
 # start and the interpreter-lock handoffs cost more than the span saves.
 _SPLIT_PAIRS = 1 << 20
@@ -171,9 +189,9 @@ def knn_topk(points, queries, k):
     M >= 1.
     Returns (ids, d2), each (Q, min(k, M)), rows ascending by
     (squared distance, point id). Brute force, vectorized over query
-    blocks: every call evaluates Q*M point distances, in float32. A
-    strided sample of each float32 row sets a threshold that every true
-    neighbor meets; only the points within it get their float64
+    blocks: every call evaluates Q*M point distances, in float32. The
+    points next to each query in Morton order set a threshold that every
+    true neighbor meets; only the points within it get their float64
     distance and are sorted, so the screen changes the time and never
     the result.
     """
@@ -185,6 +203,7 @@ def knn_topk(points, queries, k):
     xyz = np.concatenate((points, queries)).T.copy()
     cols = (xyz[:, :m], xyz[:, m:])
     screen = _screen(xyz, m)
+    screen += _windows(screen[0], screen[1], k)
     blocks = -(-nq // _CHUNK_ROWS)
     # with no helper claimed there is one span, [0, nq), and no thread
     helpers = idle_cores.claim(min(blocks, nq * m // _SPLIT_PAIRS) - 1)
@@ -244,30 +263,76 @@ def _screen(xyz, m):
     return a, b, delta
 
 
+def _morton(xyz):
+    """30-bit Morton codes of (3, N) float32 coordinates in [-1, 1], 10
+    bits per axis, x the most significant of each bit triple."""
+    cells = np.minimum(((xyz + 1.0) * 512.0).astype(np.int64), 1023)
+    code = np.zeros(xyz.shape[1], dtype=np.int64)
+    for v in cells:
+        v = (v | v << 16) & 0x030000FF
+        v = (v | v << 8) & 0x0300F00F
+        v = (v | v << 4) & 0x030C30C3
+        v = (v | v << 2) & 0x09249249
+        code = code << 1 | v
+    return code
+
+
+def _windows(a, b, k):
+    """Each query's threshold window of Morton-adjacent points.
+
+    a, b: the screen factors. Returns (bz, start, w): bz is B with its
+    columns stably sorted by the points' Morton codes, and query row r's
+    window is columns start[r]:start[r] + w of bz, the w points around
+    the insertion point of the query's code.
+    """
+    m = b.shape[1]
+    w = min(max(_WIN, k), m)
+    # B's coordinate rows are -2x, -2y, -2z: halved, the scaled points
+    codes = _morton(b[:3] * np.float32(-0.5))
+    order = np.argsort(codes, kind="stable")
+    pos = np.searchsorted(codes[order], _morton(a[:, :3].T))
+    start = np.clip(pos - w // 2, 0, m - w)
+    return b[:, order], start, w
+
+
+def _window_kth(a, window, k, lo, hi):
+    """Rows lo:hi's k-th smallest float32 screen distance over their
+    windows, _WIN_ROWS rows at a time."""
+    bz, start, w = window
+    t = np.empty(hi - lo, dtype=np.float32)
+    offsets = np.arange(w)
+    for c_lo in range(lo, hi, _WIN_ROWS):
+        c_hi = min(c_lo + _WIN_ROWS, hi)
+        cols = start[c_lo:c_hi, None] + offsets
+        ar = a[c_lo:c_hi]
+        # the 5-term dot product of each row of A with a window column
+        d = bz[0][cols] * ar[:, :1]
+        for j in range(1, 5):
+            d += bz[j][cols] * ar[:, j:j + 1]
+        t[c_lo - lo:c_hi - lo] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    return t
+
+
 def _topk_rows(cols, screen, k, lo, hi, out_idx, out_d2):
     """Fill rows lo:hi of the outputs, one _CHUNK_ROWS block at a time."""
     (px, py, pz), (qx, qy, qz) = cols
-    a, b, delta = screen
+    a, b, delta, *window = screen
     m = px.shape[0]
     step = _CHUNK_ROWS
     # block row numbers fit this type, whose stable sort is a radix sort
     row_type = np.min_scalar_type(step - 1)
-    stride = max(1, m // _SAMPLE)
-    if -(-m // stride) < k:  # the sample holds fewer than k columns
-        stride = 1
+    # t + delta bounds each row's scaled true k-th float64 distance, so
+    # every true neighbor has a float32 distance <= t + 2*delta; the cut
+    # is that bound rounded up to float32
+    bound = _window_kth(a, window, k, lo, hi).astype(np.float64) + 2.0 * delta
+    cuts = bound.astype(np.float32)
+    np.nextafter(cuts, np.float32(np.inf), out=cuts, where=cuts < bound)
     d2_buf = np.empty((min(step, hi - lo), m), dtype=np.float32)
     for b_lo in range(lo, hi, step):
         b_hi = min(b_lo + step, hi)
         d2 = d2_buf[: b_hi - b_lo]
         np.matmul(a[b_lo:b_hi], b, out=d2)
-        # t + delta bounds the row's scaled true k-th float64 distance,
-        # so every true neighbor has a float32 distance <= t + 2*delta;
-        # the cut is that bound rounded up to float32
-        t = np.partition(d2[:, ::stride], k - 1, axis=1)[:, k - 1]
-        bound = t.astype(np.float64) + 2.0 * delta
-        cut = bound.astype(np.float32)
-        np.nextafter(cut, np.float32(np.inf), out=cut, where=cut < bound)
-        cand = np.flatnonzero(d2 <= cut[:, None])
+        cand = np.flatnonzero(d2 <= cuts[b_lo - lo:b_hi - lo, None])
         row, col = np.divmod(cand, m)
         # the survivors' float64 distances, in the term order
         # (dx*dx + dy*dy) + dz*dz

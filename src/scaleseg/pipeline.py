@@ -9,23 +9,25 @@ current scale's decoder when threaded.
 Every run follows one ready chain, linking each scale that has points
 to the previous one. The first of them runs on the calling thread
 before any worker exists, so the first labels come with every core
-behind them; the rest go to one worker loop. The calling thread is
-worker 0; a threaded run adds helper threads up to one worker per core,
-at most one per scale left. Each worker takes the lowest scale not yet
-started, runs it, and takes the next. It cannot deadlock: a scale waits
-only on the previous scale with points, which was taken earlier and so
-is running or done. Predictions are bit-identical under any schedule:
-all stages are pure functions and the store contents seen by scale i
-are exactly scales 1..i-1.
+behind them; the rest go to one worker loop. A sequential run, or a
+threaded one with one worker, runs that loop on the calling thread; a
+threaded run with more starts up to one worker thread per core, at most
+one per scale left, while the calling thread only waits for them, so
+no worker's work nests inside another's on one thread. Each worker
+takes the lowest scale not yet started, runs it, and takes the next.
+It cannot deadlock: a scale waits only on the previous scale with
+points, which was taken earlier and so is running or done. Predictions
+are bit-identical under any schedule: all stages are pure functions
+and the store contents seen by scale i are exactly scales 1..i-1.
 
 Cores left over go to neighbor search: each brute-force KNN call splits
 its query rows over the cores that `_kernels.idle_cores` counts as idle,
-every core but the caller's while the first scale runs. The helpers'
-cores are reserved before the first helper starts, and each worker, the
-caller included, gives its core back once it finds no scale left; the
-caller takes its own back after the join. So the count changes only when
-a worker starts or ends, and a split never takes a core from a scale
-that still has work.
+every core but the caller's while the first scale runs. The cores of
+all workers but one are reserved before the first starts (that one
+takes the core the waiting caller lends), and each worker gives its
+core back once it finds no scale left; the caller takes its own back
+after the join. So the count changes only when a worker starts or ends,
+and a split never takes a core from a scale that still has work.
 """
 
 import math
@@ -249,10 +251,11 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     any worker exists; if it fails, its error is raised and no other
     scale starts. The rest with points go to one worker loop, and
     threaded only chooses its worker count: min(scales left, cores) when
-    set, else 1. The calling thread is worker 0 and starts the others;
-    each worker takes the lowest scale not yet started and runs it to
-    the end. On 4 or more cores the later scales thus wait for scale 1
-    to end, a schedule not yet measured there. Once a scale has failed,
+    set, else 1. One worker is the calling thread itself; two or more
+    are threads that the caller starts and joins. Each worker takes the
+    lowest scale not yet started and runs it to the end. On 4 or more
+    cores the later scales thus wait for scale 1 to end, a schedule not
+    yet measured there. Once a scale has failed,
     no worker takes another, and the lowest failed scale's error is
     raised here. A scale with no points never runs: its empty prediction
     exists from the start, so its ScaleTiming is all zero, `labels_ms`
@@ -306,18 +309,20 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         finally:
             _kernels.idle_cores.release(1)
 
-    # the calling thread is worker 0; the helpers' cores are reserved
-    # before the first starts, so no KNN call splits onto one of them
+    # the cores of all workers but one are reserved before the first
+    # starts, so no KNN call splits onto one of them; the one takes the
+    # caller's core, since the caller runs no scale beside them
     num_workers = max(1, min(len(scales) - 1, _cores())) if threaded else 1
     _kernels.idle_cores.reserve(num_workers - 1)
-    helpers = [threading.Thread(target=work, name=f"scaleseg-worker-{k}")
-               for k in range(1, num_workers)]
-    for w in helpers:
+    workers = [threading.Thread(target=work, name=f"scaleseg-worker-{k}")
+               for k in range(num_workers)] if num_workers > 1 else []
+    for w in workers:
         w.start()
     try:
-        work()
+        if not workers:
+            work()
     finally:
-        for w in helpers:
+        for w in workers:
             w.join()
         _kernels.idle_cores.reserve(1)
     if errors:  # the lowest failed scale's error is the root cause

@@ -32,6 +32,12 @@ class SceneSpec:
         ext = tuple(float(e) for e in self.extents)
         if len(ext) != 3 or not all(math.isfinite(e) and e > 0 for e in ext):
             raise ValueError("extents must be three positive finite reals")
+        # face areas are products of two extents, and their norms square
+        # them: an overflow or an underflow to zero breaks the allocation
+        if not all(0.0 < (a * b) * (a * b) < math.inf
+                   for i, a in enumerate(ext) for b in ext[i + 1:]):
+            raise ValueError("extents out of range: each product of two "
+                             "extents must square to a positive finite value")
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
         if self.num_classes < 2:

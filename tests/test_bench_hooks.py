@@ -5,7 +5,10 @@ their arguments by position. One small pipeline request and one small
 training request run here under its tracer, so a renamed function, a
 moved argument or a neighbor search between a scale's encode and its
 fuse fails in the unit tests, not only in a traced benchmark run.
-Nothing in perfbench/ is modified.
+Threaded pipeline requests run under it too: the tracer gives a worker
+thread's first span the innermost span the request's thread has open,
+so scale spans reconcile only while that thread runs no scale beside
+the workers. Nothing in perfbench/ is modified.
 """
 
 import importlib
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import scaleseg
-from scaleseg import SceneSpec, TrainConfig, generate_scene
+from scaleseg import SceneSpec, TrainConfig, _kernels, generate_scene, pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -99,3 +102,34 @@ def test_no_neighbor_search_between_encode_and_fuse(bench):
                    if s.name == "knn" and enc.end <= s.start < fuse.start]
         assert not between, f"scale {enc.info['scale']}: {between}"
     assert fused == 3
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 2023])
+def test_traced_threaded_requests_reconcile(bench, monkeypatch, seed):
+    # two workers on two cores, as in the stream-30k benchmark: every
+    # scale's spans must hang under the run and add up to its span
+    spans, workloads = bench
+    monkeypatch.setattr(pipeline, "_cores", lambda: 2)
+    monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(1))
+    cloud = generate_scene(SceneSpec(num_points=12_000, rng_seed=seed))
+    models = workloads.fresh_models()
+    tracer = spans.Tracer()
+    sizes = {}
+    tracer.install()
+    try:
+        for request in (1, 2, 3):
+            t0 = tracer.begin_request(request)
+            try:
+                parts = scaleseg.build_partitions(cloud, workloads.PARTITION)
+                scaleseg.run_pipeline(models, cloud, parts, workloads.PIPELINE,
+                                      threaded=True)
+            finally:
+                tracer.end_request(t0)
+            sizes[request] = parts.sizes
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, sizes,
+                                  workloads.Stream.expected_spans)
+    for s, n in enumerate(parts.sizes, start=1):
+        if n:
+            assert metrics[f"pipeline.scale{s}_ms"] > 0, s

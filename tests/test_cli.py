@@ -102,13 +102,18 @@ def test_gain_rejects_garbage():
      "voxel sizes must be positive and finite"),
     (["generate", "--extents", "nan,8,3"], None,
      "extents must be three positive finite reals"),
+    (["generate", "--extents", "1e308,8,3"], None, "extents out of range"),
+    (["generate", "--extents", "1e200,1e200,3"], None, "extents out of range"),
+    (["generate", "--extents", "1e-200,1e-200,1e-200"], None,
+     "extents out of range"),
     (["generate", "--noise", "nan"], None, "noise_sigma must be finite"),
     (["train", "--scale", "1", "--learning-rate", "inf"], None,
      "learning_rate must be finite"),
     (["train", "--scale", "1"], "downsample_factor=inf\n",
      "downsample_factor must be finite"),
 ], ids=["points", "epochs", "feature-dim", "k-fuse", "voxel-nan", "voxel-inf",
-        "extents-nan", "noise-nan", "learning-rate-inf", "downsample-inf-config"])
+        "extents-nan", "extents-overflow", "areas-overflow", "areas-underflow",
+        "noise-nan", "learning-rate-inf", "downsample-inf-config"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, argv, config,
                                           message):
     out = tmp_path / "out.txt"

@@ -70,7 +70,8 @@ def test_knn_matches_brute_reference(monkeypatch):
         k = int(rng.integers(1, 10))
         points = rng.normal(size=(m, 3))
         queries = rng.normal(size=(q, 3))
-        _assert_matches_reference(points, queries, k, f"normal trial {trial}")
+        _assert_matches_reference(points, queries, k, f"normal trial {trial}",
+                                  monkeypatch)
     # Coordinates on a 0.1 lattice make many distances tie exactly; up to
     # 129 queries span up to five query chunks, and every fourth trial
     # asks for k >= M. Each trial also runs split over up to four spans.
@@ -84,8 +85,40 @@ def test_knn_matches_brute_reference(monkeypatch):
                                   monkeypatch)
 
 
+def _window_t(points, queries, k):
+    """(t, w): each query's window threshold t, unscaled to the points'
+    units, and the window width w."""
+    k = min(k, points.shape[0])
+    xyz = np.concatenate((points, queries)).T.copy()
+    a, b, _ = _kernels._screen(xyz, points.shape[0])
+    window = _kernels._windows(a, b, k)
+    t = _kernels._window_kth(a, window, k, 0, queries.shape[0])
+    lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+    _, e = np.frexp(np.max(hi * 0.5 - lo * 0.5))
+    return np.ldexp(t.astype(np.float64), 2 * int(e)), window[2]
+
+
+def _straddle(rng):
+    """Points and queries beside the Z-order's top split, scaled x = 0.
+
+    Eight corners fix the bounding box to [-10, 10]**3, so the split lies
+    at x = 0. A tight cluster sits just right of it, the queries just
+    left of it, and 300 far points fill the box outside a ball of radius
+    5. Every x < 0 point precedes every x > 0 point in Z-order, so each
+    query's window holds far points while its true neighbors are in the
+    cluster a few hundredths away.
+    """
+    corners = np.array([[x, y, z] for x in (-10.0, 10.0)
+                        for y in (-10.0, 10.0) for z in (-10.0, 10.0)])
+    far = rng.uniform(-10.0, 10.0, size=(600, 3))
+    far = far[np.linalg.norm(far, axis=1) > 5.0][:300]
+    cluster = rng.uniform(0.0, 0.01, size=(20, 3))
+    queries = rng.uniform(0.0, 0.01, size=(70, 3)) * np.array([-1.0, 1.0, 1.0])
+    return np.concatenate([corners, far, cluster]), queries
+
+
 def _sampled_case(name, rng):
-    """(points, queries, k) of one case for the sampled threshold."""
+    """(points, queries, k) of one case for the window threshold."""
     if name == "lattice-ties":
         # 6x6x6 integer lattice: a query on a lattice point has one point
         # at distance 0 and six at 1, so k = 5 cuts through a tie shell
@@ -100,34 +133,54 @@ def _sampled_case(name, rng):
         points = points[np.argsort(points[:, 0], kind="stable")]
         return points, rng.uniform(-1.0, 1.0, size=(70, 3)), 6
     if name == "missed-cluster":
-        # ids 1..20 hold a tight cluster; the stride-50 sample takes ids
-        # 0, 50, 100, ... and so only far points
+        # ids 1..20 hold a tight cluster far from the other points
         points = rng.uniform(10.0, 20.0, size=(400, 3))
         points[1:21] = rng.normal(scale=0.01, size=(20, 3))
         return points, rng.normal(scale=0.01, size=(70, 3)), 5
-    m, k = {"k-at-sample": (300, 9), "k-over-sample": (300, 10),
+    if name == "straddle-split":
+        return (*_straddle(rng), 5)
+    if name == "shared-cell":
+        # 400 points inside one Morton cell (1/512 of the half-extent per
+        # axis) and 100 spread around it; every query's code equals the
+        # cell's, so its window is the same points at the start of the
+        # cell's run in id order, not its nearest ones
+        dense = rng.uniform(0.0, 1e-4, size=(400, 3))
+        spread = rng.uniform(-1.0, 1.0, size=(100, 3))
+        return (np.concatenate([spread, dense]),
+                rng.uniform(0.0, 1e-4, size=(70, 3)), 6)
+    m, k = {"k-at-sample": (300, 8), "k-over-sample": (300, 10),
             "k-at-m": (50, 50), "k-over-m": (50, 53)}[name]
     points = np.round(rng.uniform(-1.0, 1.0, size=(m, 3)), 1)
     return points, np.round(rng.uniform(-1.0, 1.0, size=(70, 3)), 1), k
 
 
 @pytest.mark.parametrize("name", [
-    "lattice-ties", "sorted-x", "missed-cluster", "k-at-sample",
-    "k-over-sample", "k-at-m", "k-over-m"])
+    "lattice-ties", "sorted-x", "missed-cluster", "straddle-split",
+    "shared-cell", "k-at-sample", "k-over-sample", "k-at-m", "k-over-m"])
 def test_sampled_threshold_matches_brute_reference(monkeypatch, name):
-    # a sample of 8 columns makes the stride > 1 on every case; the k-th
-    # point of the sample bounds the selection and must never change it
-    monkeypatch.setattr(_kernels, "_SAMPLE", 8)
+    # The sample is each row's window of w = min(max(_WIN, k), M)
+    # Morton-adjacent points. With _WIN = 8 the window is narrower than
+    # the cloud on every case but k >= M; the k-th point of the window
+    # bounds the selection and must never change it.
+    monkeypatch.setattr(_kernels, "_WIN", 8)
     points, queries, k = _sampled_case(name, np.random.default_rng(10))
-    stride = points.shape[0] // _kernels._SAMPLE
-    assert stride > 1
+    m = points.shape[0]
+    t, w = _window_t(points, queries, k)
+    _, true_d2 = brute_reference(points, queries, k)
+    assert w == min(max(8, k), m)
+    assert w < m or name in ("k-at-m", "k-over-m")
     if name == "k-at-sample":
-        assert -(-points.shape[0] // stride) == k
-    if name == "missed-cluster":
-        # the sampled k-th distance is far above the true one: tau is loose
-        _, true_d2 = brute_reference(points, queries, k)
-        _, sample_d2 = brute_reference(points[::stride], queries, k)
-        assert np.all(sample_d2[:, -1] > 1e4 * true_d2[:, -1])
+        assert w == k
+    if name == "straddle-split":
+        # the window misses every true neighbor: t is loose
+        assert np.all(t > 1e4 * true_d2[:, -1])
+    if name == "shared-cell":
+        xyz = np.concatenate((points, queries)).T.copy()
+        a, b, _ = _kernels._screen(xyz, m)
+        assert len(np.unique(_kernels._morton(a[:, :3].T))) == 1
+        assert len(np.unique(_kernels._morton(b[:3, 100:] * -0.5))) == 1
+    # t is a k-th distance over w real points, so never below the true one
+    assert np.all(t >= true_d2[:, -1] * (1 - 1e-5))
     _assert_matches_reference(points, queries, k, name, monkeypatch)
 
 
@@ -208,13 +261,14 @@ def test_screen_error_within_delta(name):
 
 
 def test_float32_screen_with_k_over_sample(monkeypatch):
-    # 300 points with a sample of 8 columns: stride 37 samples 9, fewer
-    # than k, so the whole float32 row sets t
-    monkeypatch.setattr(_kernels, "_SAMPLE", 8)
+    # 300 points 5e5 m from the origin with a window of 8 columns: k = 12
+    # widens every row's window to 12, so the row's 12 Morton-adjacent
+    # float32 distances set t
+    monkeypatch.setattr(_kernels, "_WIN", 8)
     rng = np.random.default_rng(12)
     points = rng.uniform(-1.0, 1.0, size=(300, 3)) + 5e5
     queries = rng.uniform(-1.0, 1.0, size=(70, 3)) + 5e5
-    assert -(-300 // (300 // _kernels._SAMPLE)) < 12
+    assert _window_t(points, queries, 12)[1] == 12
     _assert_matches_reference(points, queries, 12, "k over sample", monkeypatch)
 
 
@@ -222,7 +276,10 @@ def test_zero_slack_loses_a_neighbor(monkeypatch):
     # The query sits at the origin, point 1 at distance 1 and point 0 at
     # 1 + 1e-9 in another direction. Float32 rounding orders the two at
     # random, so without slack the true nearest, point 1, sometimes fails
-    # the screen; with it every trial is exact.
+    # the screen; with it every trial is exact. The window's float32
+    # distances round apart from the block's, so a zero-slack cut can
+    # also fall below both points' block distances and leave the row
+    # fewer than k survivors, an IndexError: that too loses the neighbor.
     rng = np.random.default_rng(13)
     query = np.zeros((1, 3))
     lost = 0
@@ -235,7 +292,10 @@ def test_zero_slack_loses_a_neighbor(monkeypatch):
         _assert_bytes_equal(knn_topk(points, query, 1), want, f"trial {trial}")
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "_SLACK", 0.0)
-            lost += knn_topk(points, query, 1)[0].tolist() != [[1]]
+            try:
+                lost += knn_topk(points, query, 1)[0].tolist() != [[1]]
+            except IndexError:
+                lost += 1
     assert lost > 0
 
 
