@@ -102,7 +102,10 @@ def _partition_config(cfg):
 
 
 def _seed(cfg):
-    return cfgmod.as_int(cfg, "seed", 0)
+    seed = cfgmod.as_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _load_scenes(args, cfg, part_cfg):
@@ -339,8 +342,11 @@ def cmd_train(args):
             raise CheckpointFormatError(
                 f"scale {j} checkpoint is not frozen; train scales in order")
     trainee = _fresh_model(pcfg, scale_id, seed)
-    losses = train_scale(models + [trainee], len(models) + 1, scenes, pcfg,
-                         tcfg)
+    try:
+        losses = train_scale(models + [trainee], len(models) + 1, scenes,
+                             pcfg, tcfg)
+    except FloatingPointError as exc:
+        raise ConfigError(f"{exc}; lower learning_rate") from None
     path = _model_path(args.models, scale_id)
     os.makedirs(args.models, exist_ok=True)
     save_checkpoint(path, trainee.params, pcfg.backbone, frozen=True,

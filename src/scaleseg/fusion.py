@@ -31,10 +31,6 @@ class FeatureStore:
         self._entries = []  # (scale_id, positions, features)
 
     @property
-    def num_scales(self):
-        return len(self._entries)
-
-    @property
     def size(self):
         return sum(e[1].shape[0] for e in self._entries)
 

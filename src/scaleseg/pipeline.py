@@ -1,10 +1,13 @@
 """Multi-scale inference orchestration, latency bounds, and the
 complexity accounting that motivates partitioned processing.
 
-The first scale with points runs encode -> decode; every later one runs
-encode -> fuse(store) -> extend store -> decode. The store extension
-happens before decode so the next scale's fusion can overlap the
-current scale's decoder when threaded.
+Every scale with points enters the FeatureStore by one chain,
+`_store_scale`: plan -> encode -> wait for the previous scale -> fuse
+with the store -> append (the first meets an empty store and fuses
+nothing). `run_pipeline` decodes each scale after it; training runs it
+for the frozen scales below the trained one, so that scale fuses with
+exactly the store inference builds. The store grows before decode, so
+the next scale's fusion can overlap this scale's decoder.
 
 Every run follows one ready chain, linking each scale that has points
 to the previous one. The first of them runs on the calling thread
@@ -192,77 +195,48 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_scale(i, model, part_pos, part_feats, base_voxel, store, after,
-               ready, failed, cfg: PipelineConfig, fusion_enabled, t_start):
-    """Execute scale i + 1, which has points; returns (Prediction,
-    ScaleTiming), or None once another scale has failed.
-
-    `after` is the event of the previous scale with points (None for
-    the first, which fuses nothing), `ready` this scale's own, set once
-    the store holds this scale or this scale has stopped. A failing
-    scale sets `failed` first, so every later scale sees it once its
-    wait returns and stops before fusing into a store that lacks the
-    failed scale. `t_start` is the run's start on the perf_counter
-    clock.
+def _store_scale(i, model, positions, feats, voxel_size, store, cfg,
+                 counter=None, after=None, failed=None, fusion_enabled=True):
+    """Plan and encode scale i + 1, wait for `after`, fuse with the store
+    and append: the only chain that adds a scale to a store. Returns
+    (fused, plan_ms, encode_ms, fuse_ms), or None once `failed` is set;
+    training's frozen scales pass no `after`, `failed` or counter.
     """
-    try:
-        backbone_cfg = cfg.backbone
-        counter = EvalCounter()
-        t0 = time.perf_counter()
-        stages = plan_stages(part_pos, base_voxel, backbone_cfg, counter)
-        tp = time.perf_counter()
-        fm, _ = encode(model, part_pos, part_feats, stages, scale_id=i + 1,
-                       need_cache=False)
-        t1 = time.perf_counter()
-        if after is not None:
-            after.wait()
-            if failed.is_set():
-                return None
-        fuse_ms = 0.0
-        fused = fm
-        if fusion_enabled and store.size > 0:
-            tf = time.perf_counter()
-            fused = fuse(fm, store, model.params, cfg.k_fuse,
-                         counter=counter)[0]
-            fuse_ms = (time.perf_counter() - tf) * 1e3
-        store.add_scale(fused)
-        ready.set()
-        t2 = time.perf_counter()
-        interp = plan_interp(fused.positions, part_pos, backbone_cfg, counter)
-        ti = time.perf_counter()
-        pred = decode(model, fused, part_pos, backbone_cfg, interp)[0]
-        t3 = time.perf_counter()
-        return pred, ScaleTiming(
-            i + 1, part_pos.shape[0], fm.n, (tp - t0 + ti - t2) * 1e3,
-            (t1 - tp) * 1e3, fuse_ms, (t3 - ti) * 1e3, counter.queries,
-            counter.count, (t3 - t_start) * 1e3)
-    except Exception:
-        failed.set()
-        raise
-    finally:
-        ready.set()
+    t0 = time.perf_counter()
+    stages = plan_stages(positions, voxel_size, cfg.backbone, counter)
+    tp = time.perf_counter()
+    fm, _ = encode(model, positions, feats, stages, scale_id=i + 1,
+                   need_cache=False)
+    t1 = time.perf_counter()
+    if after is not None:
+        after.wait()
+        if failed.is_set():
+            return None
+    fuse_ms = 0.0
+    fused = fm
+    if fusion_enabled and store.size > 0:
+        tf = time.perf_counter()
+        fused = fuse(fm, store, model.params, cfg.k_fuse, counter=counter)[0]
+        fuse_ms = (time.perf_counter() - tf) * 1e3
+    store.add_scale(fused)
+    return fused, (tp - t0) * 1e3, (t1 - tp) * 1e3, fuse_ms
 
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
                  cfg: PipelineConfig, threaded=False, fusion_enabled=True):
     """Run all scales; returns (predictions, TimingReport).
 
-    The first scale that has points runs on the calling thread before
-    any worker exists; if it fails, its error is raised and no other
-    scale starts. The rest with points go to one worker loop, and
-    threaded only chooses its worker count: min(scales left, cores) when
-    set, else 1. One worker is the calling thread itself; two or more
-    are threads that the caller starts and joins. Each worker takes the
-    lowest scale not yet started and runs it to the end. On 4 or more
-    cores the later scales thus wait for scale 1 to end, a schedule not
-    yet measured there. Once a scale has failed,
+    The schedule is the module docstring's; threaded only chooses the
+    worker count, min(scales left, cores) when set, else 1. If the first
+    scale with points fails, no other starts; once any scale has failed,
     no worker takes another, and the lowest failed scale's error is
-    raised here. A scale with no points never runs: its empty prediction
-    exists from the start, so its ScaleTiming is all zero, `labels_ms`
-    included. Scale i fuses with exactly scales 1..i-1 under any worker
-    count, so the predictions are bit-identical to a sequential run.
-    `labels_ms` is the wall time from this call's start until a
-    prediction existed.
+    raised here. On 4 or more cores the later scales wait for scale 1 to
+    end, a schedule not yet measured there. A scale with no points never
+    runs: its empty prediction exists from the start, so its ScaleTiming
+    is all zero, `labels_ms` included. Scale i fuses with exactly scales
+    1..i-1 under any worker count, so the predictions are bit-identical
+    to a sequential run. `labels_ms` is the wall time from this call's
+    start until a prediction existed.
     """
     t_start = time.perf_counter()
     s = parts.num_scales
@@ -283,12 +257,35 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     errors = {}
 
     def run(i):
+        # a failing scale sets `failed` before its own event, so a later
+        # scale stops before fusing into a store that lacks it
+        after, ready = links[i]
         idx = parts.partitions[i]
-        out = _run_scale(i, models[i], cloud.positions[idx], feats_all[idx],
-                         parts.voxel_sizes[i], store, *links[i], failed, cfg,
-                         fusion_enabled, t_start)
-        if out is not None:
-            preds[i], timings[i] = out
+        positions, counter = cloud.positions[idx], EvalCounter()
+        try:
+            stored = _store_scale(i, models[i], positions, feats_all[idx],
+                                  parts.voxel_sizes[i], store, cfg, counter,
+                                  after, failed, fusion_enabled)
+            if stored is None:
+                return
+            fused, plan_ms, encode_ms, fuse_ms = stored
+            ready.set()
+            t2 = time.perf_counter()
+            interp = plan_interp(fused.positions, positions, cfg.backbone,
+                                 counter)
+            ti = time.perf_counter()
+            preds[i] = decode(models[i], fused, positions, cfg.backbone,
+                              interp)[0]
+            t3 = time.perf_counter()
+            timings[i] = ScaleTiming(
+                i + 1, positions.shape[0], fused.n, plan_ms + (ti - t2) * 1e3,
+                encode_ms, fuse_ms, (t3 - ti) * 1e3, counter.queries,
+                counter.count, (t3 - t_start) * 1e3)
+        except Exception:
+            failed.set()
+            raise
+        finally:
+            ready.set()
 
     if scales:
         run(scales[0])

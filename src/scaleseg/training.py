@@ -17,7 +17,7 @@ from .backbone import (decode, decode_bwd, encode, encode_bwd, plan_interp,
 from .fusion import FeatureStore, fuse, fuse_bwd, fusion_neighbors
 from .layers import softmax_cross_entropy
 from .metrics import ConfusionMatrix, compute_metrics
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, _store_scale, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,15 @@ class TrainConfig:
 
 
 def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
-    """Forward scales 1..upto (frozen) and collect their store entries."""
+    """The store inference holds after scales 1..upto (frozen): each
+    with points, in order, through the pipeline's `_store_scale`."""
     store = FeatureStore(cfg.backbone.feature_dim)
     feats_all = scene_cloud.xyzrgb()
     for j in range(upto):
         idx = parts.partitions[j]
-        if idx.size == 0:
-            continue
-        positions = scene_cloud.positions[idx]
-        stages = plan_stages(positions, parts.voxel_sizes[j], cfg.backbone)
-        fm, _ = encode(models[j], positions, feats_all[idx], stages,
-                       scale_id=j + 1, need_cache=False)
-        if store.size > 0:
-            fm = fuse(fm, store, models[j].params, cfg.k_fuse)[0]
-        store.add_scale(fm)
+        if idx.size:
+            _store_scale(j, models[j], scene_cloud.positions[idx],
+                         feats_all[idx], parts.voxel_sizes[j], store, cfg)
     return store
 
 
@@ -63,7 +58,7 @@ def _scene_forward_backward(model, sample, cfg: PipelineConfig):
     fm, ecache = encode(model, positions, feats, stages, scale_id=scale_id)
     fcache = None
     fused = fm
-    if store.num_scales > 0:
+    if store.size > 0:
         fused, fcache = fuse(fm, store, model.params, cfg.k_fuse,
                              neighbors=neighbors)
     pred, dcache = decode(model, fused, positions, cfg.backbone, interp)
@@ -86,6 +81,7 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
     models: list of ScaleModel, 1-based scale_id selects the trainee.
     scenes: list of (PointCloud, PartitionSet) with labels present.
     Lower scales must already be frozen; the trainee must not be.
+    Raises FloatingPointError once an epoch's mean loss is not finite.
     """
     if not 1 <= scale_id <= len(models):
         raise ValueError("scale_id out of range")
@@ -117,7 +113,7 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
         coarse = stages[-1].positions
         interp = plan_interp(coarse, positions, cfg.backbone)
         neighbors = (fusion_neighbors(store, coarse, cfg.k_fuse)
-                     if store.num_scales > 0 else None)
+                     if store.size > 0 else None)
         samples.append((positions, cloud.xyzrgb()[idx], cloud.labels[idx],
                         store, scale_id, stages, interp, neighbors))
     if not samples:
@@ -147,6 +143,9 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
                 deltas[k] = -tcfg.learning_rate * velocity[k]
             model.apply_update(deltas)
         epoch_losses.append(float(np.mean(losses)))
+        if not math.isfinite(epoch_losses[-1]):
+            raise FloatingPointError(f"training diverged: epoch {len(epoch_losses)}"
+                                     f" mean loss is {epoch_losses[-1]}")
     return epoch_losses
 
 

@@ -68,8 +68,16 @@ def test_trace_hooks_fire_and_read_the_right_arguments(bench):
     metrics = spans.layer_metrics(recorded, sizes, expected)
     assert set(metrics) == set(spans.LAYER_UNITS)
     for name in ("knn.calls", "pipeline.scale1_ms", "fusion.fuse_ms",
-                 "training.fwd_ms", "training.bwd_ms", "backbone.coarse_points.s1"):
+                 "training.store_build_ms", "training.fwd_ms",
+                 "training.bwd_ms", "backbone.coarse_points.s1"):
         assert metrics[name] > 0, name
+    # the frozen scale's forward hangs directly under train_scale, so
+    # training.store_build_ms measures it
+    train = [s for s in recorded if s.request == 2]
+    (train_span,) = [s for s in train if s.name == "training.train_scale"]
+    frozen = [s for s in train
+              if s.name == "backbone.encode" and s.info["scale"] == 1]
+    assert frozen and all(s.parent == train_span.id for s in frozen)
 
     run = [s for s in recorded if s.request == 1]
     # the KNN hooks read (points, queries) by position: their pair count

@@ -111,9 +111,14 @@ def test_gain_rejects_garbage():
      "learning_rate must be finite"),
     (["train", "--scale", "1"], "downsample_factor=inf\n",
      "downsample_factor must be finite"),
+    (["train", "--scale", "1", "--learning-rate", "1e300", "--epochs", "2"],
+     None, "learning_rate"),
+    (["generate", "--seed", "-1"], None, "seed must be >= 0"),
+    (["train", "--scale", "1"], "seed=-1\n", "seed must be >= 0"),
 ], ids=["points", "epochs", "feature-dim", "k-fuse", "voxel-nan", "voxel-inf",
         "extents-nan", "extents-overflow", "areas-overflow", "areas-underflow",
-        "noise-nan", "learning-rate-inf", "downsample-inf-config"])
+        "noise-nan", "learning-rate-inf", "downsample-inf-config",
+        "learning-rate-diverges", "seed-negative", "seed-negative-config"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, argv, config,
                                           message):
     out = tmp_path / "out.txt"

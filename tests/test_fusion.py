@@ -29,7 +29,6 @@ def fuse_params(rng, f):
 def test_store_orders_scales_and_checks_width():
     rng = np.random.default_rng(0)
     store = make_store(rng, 3, [4, 6])
-    assert store.num_scales == 2
     assert store.size == 10
     pos, feat = store.merged()
     assert pos.shape == (10, 3) and feat.shape == (10, 3)

@@ -367,13 +367,13 @@ def test_no_thread_reserves_a_core_mid_scale(monkeypatch):
     monkeypatch.setattr(_kernels, "idle_cores", pool)
     cloud, parts, pcfg, models = make_setup(seed=3)
     running, mid_scale = {}, []
-    run_scale, fuse, reserve = pipeline._run_scale, pipeline.fuse, pool.reserve
+    store_scale, fuse, reserve = pipeline._store_scale, pipeline.fuse, pool.reserve
 
-    def spy_run_scale(i, *args):
+    def spy_store_scale(i, *args):
         me = threading.current_thread()
         running[me] = i + 1
         try:
-            return run_scale(i, *args)
+            return store_scale(i, *args)
         finally:
             del running[me]
 
@@ -388,7 +388,7 @@ def test_no_thread_reserves_a_core_mid_scale(monkeypatch):
             mid_scale.append((scale, n))
         reserve(n)
 
-    monkeypatch.setattr(pipeline, "_run_scale", spy_run_scale)
+    monkeypatch.setattr(pipeline, "_store_scale", spy_store_scale)
     monkeypatch.setattr(pipeline, "fuse", spy_fuse)
     monkeypatch.setattr(pool, "reserve", spy_reserve)
     run_pipeline(models, cloud, parts, pcfg, threaded=True)
@@ -484,12 +484,12 @@ def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
     cloud, parts, pcfg, models = make_setup(seed=3)
     lock = threading.Lock()
     encoding, claims = set(), []
-    run_scale, encode, claim = pipeline._run_scale, pipeline.encode, pool.claim
+    store_scale, encode, claim = pipeline._store_scale, pipeline.encode, pool.claim
 
-    def spy_run_scale(i, *args):
+    def spy_store_scale(i, *args):
         with lock:
             encoding.add(i + 1)
-        return run_scale(i, *args)
+        return store_scale(i, *args)
 
     def spy_encode(*args, scale_id, **kwargs):
         try:
@@ -504,7 +504,7 @@ def test_threaded_knn_splits_only_onto_a_lent_core(monkeypatch):
             claims.append((frozenset(encoding), got))
         return got
 
-    monkeypatch.setattr(pipeline, "_run_scale", spy_run_scale)
+    monkeypatch.setattr(pipeline, "_store_scale", spy_store_scale)
     monkeypatch.setattr(pipeline, "encode", spy_encode)
     monkeypatch.setattr(pool, "claim", spy_claim)
     run_pipeline(models, cloud, parts, pcfg, threaded=True)
