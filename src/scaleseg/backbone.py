@@ -38,8 +38,6 @@ from .layers import (
     linear_fwd,
     mlp2_bwd,
     mlp2_fwd,
-    relu_bwd,
-    relu_fwd,
 )
 
 
@@ -239,14 +237,14 @@ def encode(model, positions, feats_in, stages, scale_id=1, need_cache=True):
     feats_in[:, :3] -= mid
     h, ec = mlp2_fwd(feats_in, p["embed_w1"], p["embed_b1"],
                      p["embed_w2"], p["embed_b2"])
-    a, ac = attention_fwd(positions, h, stages[0].neighbors, p, "att0", need_cache)
-    cur = h + a
+    cur, ac = attention_fwd(positions, h, stages[0].neighbors, p, "att0", need_cache)
+    cur += h
     pooled = []
     for t, st in enumerate(stages[1:], start=1):
         pf, pc = grid_pool_fwd(cur, st.pool)
-        a, sac = attention_fwd(st.positions, pf, st.neighbors, p, f"att{t}",
-                               need_cache)
-        cur = pf + a
+        cur, sac = attention_fwd(st.positions, pf, st.neighbors, p, f"att{t}",
+                                 need_cache)
+        cur += pf
         pooled.append((pc, sac))
     fm = FeatureMatrix(stages[-1].positions, cur, scale_id)
     cache = (ec, ac, pooled) if need_cache else None
@@ -263,10 +261,13 @@ def encode_bwd(g, cache, model):
         pc, sac = stages[t - 1]
         da, ag = attention_bwd(cur, sac, p, f"att{t}")
         grads.update(ag)
-        cur = grid_pool_bwd(cur + da, pc)
+        da += cur
+        cur = grid_pool_bwd(da, pc)
     da, ag = attention_bwd(cur, ac, p, "att0")
     grads.update(ag)
-    _, (dw1, db1, dw2, db2) = mlp2_bwd(cur + da, ec)
+    da += cur
+    # the inputs are constants of the graph, so no input gradient
+    _, (dw1, db1, dw2, db2) = mlp2_bwd(da, ec, need_dx=False)
     grads["embed_w1"] = dw1
     grads["embed_b1"] = db1
     grads["embed_w2"] = dw2
@@ -295,8 +296,9 @@ def decode(model, fused: FeatureMatrix, positions, cfg, interp):
     cur, ic = interp_apply_fwd(fused.features, idx, w)
     lcaches = []
     for t in range(cfg.encoder_stages):
-        z, lc = linear_fwd(cur, p[f"dec{t}_w"], p[f"dec{t}_b"])
-        cur, rm = relu_fwd(z)
+        cur, lc = linear_fwd(cur, p[f"dec{t}_w"], p[f"dec{t}_b"])
+        rm = cur > 0.0
+        np.maximum(cur, 0.0, out=cur)
         lcaches.append((lc, rm))
     logits, hc = linear_fwd(cur, p["head_w"], p["head_b"])
     return Prediction(logits), (ic, lcaches, hc)
@@ -312,8 +314,8 @@ def decode_bwd(g, cache, model):
     grads["head_b"] = dhb
     for t in range(len(lcaches) - 1, -1, -1):
         lc, rm = lcaches[t]
-        dz = relu_bwd(dcur, rm)
-        dcur, dw, db = linear_bwd(dz, lc)
+        dcur *= rm
+        dcur, dw, db = linear_bwd(dcur, lc)
         grads[f"dec{t}_w"] = dw
         grads[f"dec{t}_b"] = db
     return interp_apply_bwd(dcur, ic), grads

@@ -97,7 +97,8 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     arg = r.argmax(axis=1)  # (N, F), first max wins on ties
     pooled = np.take_along_axis(r, arg[:, None, :], axis=1)[:, 0, :]
     cat = np.concatenate([feats, pooled], axis=1)
-    out = cat @ params["fuse_fw"] + params["fuse_fb"]
+    out = cat @ params["fuse_fw"]
+    out += params["fuse_fb"]
     return (FeatureMatrix(current.positions, out, current.scale_id),
             (gathered, mask, arg, cat, feats.shape[1]))
 
@@ -115,7 +116,7 @@ def fuse_bwd(g, cache, params):
     dpooled = dcat[:, f:]
     dr = np.zeros((n, k, f), dtype=np.float64)
     np.put_along_axis(dr, arg[:, None, :], dpooled[:, None, :], axis=1)
-    dh = dr * mask
-    grads["fuse_cw"] = gathered.reshape(-1, f).T @ dh.reshape(-1, f)
-    grads["fuse_cb"] = dh.reshape(-1, f).sum(axis=0)
+    dr *= mask
+    grads["fuse_cw"] = gathered.reshape(-1, f).T @ dr.reshape(-1, f)
+    grads["fuse_cb"] = dr.reshape(-1, f).sum(axis=0)
     return dfeats, grads

@@ -7,6 +7,14 @@ they depend only on the input cloud, not on any parameter, so relative
 position encodings and interpolation weights are constants of the graph.
 
 Array shape comments use N = points, k = neighbors, F = feature width.
+
+In-place rule: a function may overwrite an array it allocated itself
+(`+=`, `*=`, `out=`) instead of allocating the next (N, k, F) temporary,
+but never an argument or a cache it receives: callers pass the same
+inputs again (gradient checks, every training epoch) and FeatureStore
+arrays are read-only. Each in-place step performs the same
+floating-point operation in the same order as the expression it
+replaces, so results are bit-identical to the allocating form.
 """
 
 import numpy as np
@@ -26,50 +34,53 @@ _BLOCK = 8192
 # dense primitives
 
 def linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
-def linear_bwd(g, cache):
+def linear_bwd(g, cache, need_dx=True):
+    """(dx, dw, db); dx is None when need_dx is false."""
     x, w = cache
     xm = x.reshape(-1, x.shape[-1])
     gm = g.reshape(-1, g.shape[-1])
-    return g @ w.T, xm.T @ gm, gm.sum(axis=0)
-
-
-def relu_fwd(x):
-    return np.maximum(x, 0.0), x > 0.0
-
-
-def relu_bwd(g, mask):
-    return g * mask
+    dx = g @ w.T if need_dx else None
+    return dx, xm.T @ gm, gm.sum(axis=0)
 
 
 def mlp2_fwd(x, w1, b1, w2, b2):
     """linear -> relu -> linear"""
     h, c1 = linear_fwd(x, w1, b1)
-    a, m = relu_fwd(h)
-    y, c2 = linear_fwd(a, w2, b2)
-    return y, (c1, m, c2)
+    np.maximum(h, 0.0, out=h)
+    y, c2 = linear_fwd(h, w2, b2)
+    return y, (c1, c2)
 
 
-def mlp2_bwd(g, cache):
-    c1, m, c2 = cache
-    da, dw2, db2 = linear_bwd(g, c2)
-    dh = relu_bwd(da, m)
-    dx, dw1, db1 = linear_bwd(dh, c1)
+def mlp2_bwd(g, cache, need_dx=True):
+    """(dx, (dw1, db1, dw2, db2)); dx is None when need_dx is false."""
+    c1, c2 = cache
+    dh, dw2, db2 = linear_bwd(g, c2)
+    # relu(h) > 0 exactly where h > 0 (NaN and -0.0 included), so the
+    # cached hidden output gives the relu mask
+    dh *= c2[0] > 0.0
+    dx, dw1, db1 = linear_bwd(dh, c1, need_dx)
     return dx, (dw1, db1, dw2, db2)
 
 
 def neighbor_softmax_fwd(logits):
     """Softmax over the neighbor axis of (N, k, F) per-channel logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    w = e / e.sum(axis=1, keepdims=True)
+    w = logits - logits.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
     return w, w
 
 
 def neighbor_softmax_bwd(g, w):
-    return w * (g - (w * g).sum(axis=1, keepdims=True))
+    """w * (g - sum_n w * g), in one (N, k, F) array."""
+    t = w * g
+    np.subtract(g, t.sum(axis=1, keepdims=True), out=t)
+    t *= w
+    return t
 
 
 def scatter_rows(grad_neighbors, idx, n_rows):
@@ -92,17 +103,19 @@ def scatter_rows(grad_neighbors, idx, n_rows):
 def _attn_rows(positions, idx, q, kmat, v, sl, p, prefix):
     """Attention math for query rows sl; returns (out, row cache)."""
     nb = idx[sl]
-    kn = kmat[nb]  # (B, k, F)
+    e = kmat[nb]  # (B, k, F): k_n, made into e in place below
     vn = v[nb]
     rel = positions[sl, None, :] - positions[nb]  # (B, k, 3)
     delta, pcache = mlp2_fwd(rel, p[prefix + "_pw1"], p[prefix + "_pb1"],
                              p[prefix + "_pw2"], p[prefix + "_pb2"])
-    e = q[sl, None, :] - kn + delta
+    np.subtract(q[sl, None, :], e, out=e)  # e = q_j - k_n + delta
+    e += delta
+    del delta
     logits, acache = mlp2_fwd(e, p[prefix + "_aw1"], p[prefix + "_ab1"],
                               p[prefix + "_aw2"], p[prefix + "_ab2"])
     w, _ = neighbor_softmax_fwd(logits)
-    out = (w * vn).sum(axis=1)
-    return out, (w, vn, pcache, acache)
+    np.multiply(w, vn, out=logits)  # the spent logits take w ⊙ v_n
+    return logits.sum(axis=1), (w, vn, pcache, acache)
 
 
 def attention_fwd(positions, feats, idx, p, prefix, need_cache=True):
@@ -132,14 +145,16 @@ def attention_bwd(g, cache, p, prefix):
     """Backward of attention_fwd; returns (dfeats, grads dict)."""
     feats, idx, w, vn, pcache, acache = cache
     n = feats.shape[0]
-    dw = g[:, None, :] * vn  # (N, k, F)
-    dvn = g[:, None, :] * w
-    dlogits = neighbor_softmax_bwd(dw, w)
+    dlogits = neighbor_softmax_bwd(g[:, None, :] * vn, w)  # (N, k, F)
+    dv = scatter_rows(g[:, None, :] * w, idx, n)
     de, (daw1, dab1, daw2, dab2) = mlp2_bwd(dlogits, acache)
-    _, (dpw1, dpb1, dpw2, dpb2) = mlp2_bwd(de, pcache)  # ddelta = de
+    # ddelta = de; the relative positions are constants, so no dx
+    _, (dpw1, dpb1, dpw2, dpb2) = mlp2_bwd(de, pcache, need_dx=False)
     dq = de.sum(axis=1)  # (N, F)
-    dkmat = scatter_rows(-de, idx, n)
-    dv = scatter_rows(dvn, idx, n)
+    # dkmat = scatter_rows(-de): bincount's sums are sign-symmetric, and
+    # 0.0 - s (not -s) keeps an exactly-zero row at +0.0 as it was
+    dkmat = scatter_rows(de, idx, n)
+    np.subtract(0.0, dkmat, out=dkmat)
     wq, wk, wv = p[prefix + "_wq"], p[prefix + "_wk"], p[prefix + "_wv"]
     grads = {
         prefix + "_wq": feats.T @ dq,
@@ -150,7 +165,9 @@ def attention_bwd(g, cache, p, prefix):
         prefix + "_aw1": daw1, prefix + "_ab1": dab1,
         prefix + "_aw2": daw2, prefix + "_ab2": dab2,
     }
-    dfeats = dq @ wq.T + dkmat @ wk.T + dv @ wv.T
+    dfeats = dq @ wq.T
+    dfeats += dkmat @ wk.T
+    dfeats += dv @ wv.T
     return dfeats, grads
 
 
@@ -202,8 +219,9 @@ def interp_weights(dists):
 
 def interp_apply_fwd(src_feats, idx, w):
     """out_j = sum_m w[j, m] * src_feats[idx[j, m]]; weights are constants."""
-    out = (w[:, :, None] * src_feats[idx]).sum(axis=1)
-    return out, (idx, w, src_feats.shape[0])
+    gathered = src_feats[idx]  # (N, m, F)
+    gathered *= w[:, :, None]
+    return gathered.sum(axis=1), (idx, w, src_feats.shape[0])
 
 
 def interp_apply_bwd(g, cache):
