@@ -1,11 +1,14 @@
 """Exact k-nearest-neighbor index over a fixed 3D point set.
 
-The index is brute force: every query evaluates the distance to every
-stored point, and those evaluations are added to an EvalCounter so
-pipeline runs can report measured pairwise work. The kernel screens
-those distances in float32 and computes the float64 distance of only
-the points that pass, with a slack that keeps every true neighbor, so
-ids and distances are those of a float64 scan (see `_kernels`).
+The index is brute force: in its cost model every query evaluates the
+distance to every stored point, and those Q * M evaluations are added
+to an EvalCounter so pipeline runs can report measured pairwise work,
+the count that acceptance criterion 3 compares with the whole-cloud
+baseline's. The kernel does less: it skips the point chunks that no
+query of a block can reach, screens the rest in float32 and computes
+the float64 distance of only the points that pass, with a slack that
+keeps every true neighbor, so ids and distances are those of a float64
+scan (see `_kernels`).
 Neighbor ties are broken by lower point id, which makes every query
 deterministic.
 """
@@ -21,7 +24,9 @@ class EvalCounter:
     """Shared tally of KNN queries and candidate distance evaluations.
 
     One counter is threaded through every KNN call of a pipeline run so
-    the total cost of a full pass can be read off afterwards.
+    the total cost of a full pass can be read off afterwards. A call
+    counts the brute-force Q * M, not the pairs its screen compares,
+    which depend on the cloud's layout.
     """
 
     __slots__ = ("_count", "_queries", "_lock")

@@ -29,15 +29,15 @@ def _split_knn(mp, points, queries, k):
     min(blocks, 1 + SPARE) spans; checks the spans and the core count."""
     mp.setattr(_kernels, "_SPLIT_PAIRS", 1)
     mp.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
-    rows, spans = _kernels._topk_rows, []
+    span, spans = _kernels._topk_span, []
 
-    def spy(cols, screen, k, lo, hi, *out):
+    def spy(layout, delta, k, lo, hi, *out):
         spans.append((lo, hi))
-        return rows(cols, screen, k, lo, hi, *out)
+        return span(layout, delta, k, lo, hi, *out)
 
-    mp.setattr(_kernels, "_topk_rows", spy)
+    mp.setattr(_kernels, "_topk_span", spy)
     result = knn_topk(points, queries, k)
-    nq, step = queries.shape[0], _kernels._CHUNK_ROWS
+    nq, step = queries.shape[0], _kernels._BLOCK_ROWS
     spans.sort()
     assert len(spans) == min(-(-nq // step), 1 + SPARE)
     assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
@@ -73,7 +73,7 @@ def test_knn_matches_brute_reference(monkeypatch):
         _assert_matches_reference(points, queries, k, f"normal trial {trial}",
                                   monkeypatch)
     # Coordinates on a 0.1 lattice make many distances tie exactly; up to
-    # 129 queries span up to five query chunks, and every fourth trial
+    # 129 queries span up to three query blocks, and every fourth trial
     # asks for k >= M. Each trial also runs split over up to four spans.
     for trial in range(40):
         m = int(rng.integers(1, 300))
@@ -90,9 +90,10 @@ def _window_t(points, queries, k):
     units, and the window width w."""
     k = min(k, points.shape[0])
     xyz = np.concatenate((points, queries)).T.copy()
-    a, b, _ = _kernels._screen(xyz, points.shape[0])
-    window = _kernels._windows(a, b, k)
-    t = _kernels._window_kth(a, window, k, 0, queries.shape[0])
+    a, b, _, codes = _kernels._screen(xyz, points.shape[0])
+    qorder, az, _, window, *_ = _kernels._layout(xyz, a, b, codes, k)
+    t = np.empty(queries.shape[0], dtype=np.float32)
+    t[qorder] = _kernels._window_kth(az, window, k, 0, queries.shape[0])
     lo, hi = xyz.min(axis=1), xyz.max(axis=1)
     _, e = np.frexp(np.max(hi * 0.5 - lo * 0.5))
     return np.ldexp(t.astype(np.float64), 2 * int(e)), window[2]
@@ -176,9 +177,9 @@ def test_sampled_threshold_matches_brute_reference(monkeypatch, name):
         assert np.all(t > 1e4 * true_d2[:, -1])
     if name == "shared-cell":
         xyz = np.concatenate((points, queries)).T.copy()
-        a, b, _ = _kernels._screen(xyz, m)
-        assert len(np.unique(_kernels._morton(a[:, :3].T))) == 1
-        assert len(np.unique(_kernels._morton(b[:3, 100:] * -0.5))) == 1
+        codes = _kernels._screen(xyz, m)[3]
+        assert len(np.unique(codes[m:])) == 1
+        assert len(np.unique(codes[100:m])) == 1
     # t is a k-th distance over w real points, so never below the true one
     assert np.all(t >= true_d2[:, -1] * (1 - 1e-5))
     _assert_matches_reference(points, queries, k, name, monkeypatch)
@@ -232,7 +233,7 @@ def _corners(rng, n):
 def test_float32_screen_matches_brute_reference(monkeypatch, name):
     points, queries, k = _screen_case(name, np.random.default_rng(11))
     xyz = np.concatenate((points, queries)).T.copy()
-    _, _, delta = _kernels._screen(xyz, points.shape[0])
+    delta = _kernels._screen(xyz, points.shape[0])[2]
     if name in ("one-spot", "beyond-limit"):
         assert delta == np.inf  # outside the bound's range: all survive
     else:
@@ -252,7 +253,7 @@ def test_screen_error_within_delta(name):
         points = rng.uniform(0.0, 20.0, size=(2000, 3)) + shift
         queries = rng.uniform(0.0, 20.0, size=(300, 3)) + shift
     xyz = np.concatenate((points, queries)).T.copy()
-    a, b, delta = _kernels._screen(xyz, points.shape[0])
+    a, b, delta, _ = _kernels._screen(xyz, points.shape[0])
     lo, hi = xyz.min(axis=1), xyz.max(axis=1)
     _, e = np.frexp(np.max(hi * 0.5 - lo * 0.5))
     d64 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
@@ -326,40 +327,107 @@ def test_k_clamped_to_point_count():
 
 
 def test_numpy_chunking_invariant(monkeypatch):
-    # answers must not depend on the chunk or span boundaries
+    # answers must not depend on the block or span boundaries
     rng = np.random.default_rng(5)
     points = rng.normal(size=(50, 3))
-    for nq in (33, 70):  # neither is a multiple of either chunk size
+    for nq in (33, 70, 130):  # none is a multiple of either block size
         queries = rng.normal(size=(nq, 3))
         whole = knn_topk(points, queries, 4)
-        for chunk in (_kernels._CHUNK_ROWS, 3):
+        for rows in (_kernels._BLOCK_ROWS, 3):
             with monkeypatch.context() as mp:
-                mp.setattr(_kernels, "_CHUNK_ROWS", chunk)
+                mp.setattr(_kernels, "_BLOCK_ROWS", rows)
                 small = knn_topk(points, queries, 4)
                 split = _split_knn(mp, points, queries, 4)
-            _assert_bytes_equal(small, whole, f"nq {nq}, chunk {chunk}")
-            _assert_bytes_equal(split, whole, f"nq {nq}, chunk {chunk}, split")
+            _assert_bytes_equal(small, whole, f"nq {nq}, rows {rows}")
+            _assert_bytes_equal(split, whole, f"nq {nq}, rows {rows}, split")
 
 
-@pytest.mark.parametrize("failing_lo", [0, 32], ids=["caller", "helper"])
-def test_split_span_error_reaches_caller(monkeypatch, failing_lo):
+@pytest.mark.parametrize("name", [
+    "normal", "lattice", "lattice-ties", "one-spot", "beyond-limit", "k-over-m"])
+def test_small_chunks_match_brute_reference(monkeypatch, name):
+    # 4-point chunks, 8-row blocks and 2-block groups: each cloud spans
+    # many of all three, most with a partial one at the end; on one-spot
+    # and beyond-limit delta is infinite, so every chunk is kept
+    monkeypatch.setattr(_kernels, "_CHUNK_POINTS", 4)
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(_kernels, "_GROUP_BLOCKS", 2)
+    rng = np.random.default_rng(15)
+    if name == "normal":
+        points, queries, k = rng.normal(size=(59, 3)), rng.normal(size=(45, 3)), 5
+    elif name == "lattice":
+        points = np.round(rng.uniform(-1.0, 1.0, size=(137, 3)), 1)
+        queries = np.round(rng.uniform(-1.0, 1.0, size=(61, 3)), 1)
+        k = 7
+    elif name == "lattice-ties":
+        points, queries, k = _sampled_case(name, rng)
+    else:
+        points, queries, k = _screen_case(name, rng)
+    _assert_matches_reference(points, queries, k, name, monkeypatch)
+
+
+def test_far_chunks_are_not_screened(monkeypatch):
+    # Two clusters 100 apart, each with half the points and queries: a
+    # block of one cluster reaches no chunk of the other, so the screen
+    # skips about half the Q*M pairs. A call that screened every chunk
+    # would count Q*M.
+    rng = np.random.default_rng(16)
+    points = np.concatenate([rng.normal(size=(300, 3)),
+                             rng.normal(size=(300, 3)) + 100.0])
+    queries = np.concatenate([rng.normal(size=(200, 3)),
+                              rng.normal(size=(200, 3)) + 100.0])
+    span, screened = _kernels._topk_span, []
+
+    def spy(*args):
+        screened.append(span(*args))
+        return screened[-1]
+
+    monkeypatch.setattr(_kernels, "_topk_span", spy)
+    got = knn_topk(points, queries, 6)
+    _assert_bytes_equal(got, brute_reference(points, queries, 6), "two clusters")
+    assert sum(screened) < 600 * 400 * 3 // 4
+
+
+def test_coincident_points_select_a_block_at_a_time(monkeypatch):
+    # 300 points and 200 queries at one spot: delta is infinite, so all
+    # 300 points of every row survive. With _GROUP_PAIRS = 1000 each
+    # block's 64 x 300 survivors are selected before the next block is
+    # screened, not a whole group's.
+    monkeypatch.setattr(_kernels, "_GROUP_PAIRS", 1000)
+    select, sizes = _kernels._select, []
+
+    def spy(layout, k, lo, hi, row, col, *out):
+        sizes.append((hi - lo, row.size))
+        return select(layout, k, lo, hi, row, col, *out)
+
+    monkeypatch.setattr(_kernels, "_select", spy)
+    points, queries = np.full((300, 3), -2.5), np.full((200, 3), -2.5)
+    _assert_matches_reference(points, queries, 4, "one spot, 300 points")
+    step = _kernels._BLOCK_ROWS
+    assert [rows for rows, _ in sizes] == [step, step, step, 200 - 3 * step]
+    assert all(n == rows * 300 for rows, n in sizes)
+
+
+@pytest.mark.parametrize("failing_block", [0, 1], ids=["caller", "helper"])
+def test_split_span_error_reaches_caller(monkeypatch, failing_block):
     # four spans of one block each; the failing one raises in the caller
     # only after every span has run, and the claimed cores come back
     monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", 1)
     monkeypatch.setattr(_kernels, "idle_cores", _kernels.CorePool(SPARE))
-    rows, ran = _kernels._topk_rows, []
+    step = _kernels._BLOCK_ROWS
+    failing_lo = failing_block * step
+    span, ran = _kernels._topk_span, []
 
-    def flaky(cols, screen, k, lo, hi, *out):
+    def flaky(layout, delta, k, lo, hi, *out):
         ran.append(lo)
         if lo == failing_lo:
             raise RuntimeError(f"span at row {lo} failed")
-        return rows(cols, screen, k, lo, hi, *out)
+        return span(layout, delta, k, lo, hi, *out)
 
-    monkeypatch.setattr(_kernels, "_topk_rows", flaky)
+    monkeypatch.setattr(_kernels, "_topk_span", flaky)
     rng = np.random.default_rng(6)
     with pytest.raises(RuntimeError, match=f"span at row {failing_lo} failed"):
-        knn_topk(rng.normal(size=(40, 3)), rng.normal(size=(128, 3)), 3)
-    assert sorted(ran) == [0, 32, 64, 96]
+        knn_topk(rng.normal(size=(40, 3)), rng.normal(size=(4 * step, 3)), 3)
+    assert sorted(ran) == [0, step, 2 * step, 3 * step]
     assert _kernels.idle_cores.idle == SPARE
     assert not [t for t in threading.enumerate() if t.name == "scaleseg-knn"]
 
@@ -367,7 +435,7 @@ def test_split_span_error_reaches_caller(monkeypatch, failing_lo):
 @pytest.mark.parametrize("split_pairs, idle, nq", [
     (1, 0, 100),
     (1, -2, 100),
-    (_kernels._SPLIT_PAIRS, SPARE, 1000),  # 1000 x 1000 < 2^20 pairs
+    (_kernels._SPLIT_PAIRS, SPARE, 1000),  # 1000 x 1000 < 2^22 pairs
 ], ids=["no-spare-core", "oversubscribed", "too-few-pairs"])
 def test_unsplit_call_starts_no_thread(monkeypatch, split_pairs, idle, nq):
     monkeypatch.setattr(_kernels, "_SPLIT_PAIRS", split_pairs)
