@@ -297,9 +297,8 @@ def decode(model, fused: FeatureMatrix, positions, cfg, interp):
     lcaches = []
     for t in range(cfg.encoder_stages):
         cur, lc = linear_fwd(cur, p[f"dec{t}_w"], p[f"dec{t}_b"])
-        rm = cur > 0.0
         np.maximum(cur, 0.0, out=cur)
-        lcaches.append((lc, rm))
+        lcaches.append(lc)
     logits, hc = linear_fwd(cur, p["head_w"], p["head_b"])
     return Prediction(logits), (ic, lcaches, hc)
 
@@ -312,10 +311,13 @@ def decode_bwd(g, cache, model):
     dcur, dhw, dhb = linear_bwd(g, hc)
     grads["head_w"] = dhw
     grads["head_b"] = dhb
+    # each rectified output is the next layer's cached input, and
+    # relu(x) > 0 exactly where x > 0, so it gives the rectifier's mask
+    rectified = hc[0]
     for t in range(len(lcaches) - 1, -1, -1):
-        lc, rm = lcaches[t]
-        dcur *= rm
-        dcur, dw, db = linear_bwd(dcur, lc)
+        dcur *= rectified > 0.0
+        dcur, dw, db = linear_bwd(dcur, lcaches[t])
+        rectified = lcaches[t][0]
         grads[f"dec{t}_w"] = dw
         grads[f"dec{t}_b"] = db
     return interp_apply_bwd(dcur, ic), grads

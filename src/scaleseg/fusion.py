@@ -92,7 +92,6 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     gathered = sfeat[idx]  # (N, k, F)
     r = gathered @ params["fuse_cw"]
     r += params["fuse_cb"]
-    mask = r > 0.0
     np.maximum(r, 0.0, out=r)  # in place: one (N, k, F) array less at peak
     arg = r.argmax(axis=1)  # (N, F), first max wins on ties
     pooled = np.take_along_axis(r, arg[:, None, :], axis=1)[:, 0, :]
@@ -100,12 +99,12 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     out = cat @ params["fuse_fw"]
     out += params["fuse_fb"]
     return (FeatureMatrix(current.positions, out, current.scale_id),
-            (gathered, mask, arg, cat, feats.shape[1]))
+            (gathered, arg, cat, feats.shape[1]))
 
 
 def fuse_bwd(g, cache, params):
     """Returns (dcurrent_features, grads). Stored features get no gradient."""
-    gathered, mask, arg, cat, f = cache
+    gathered, arg, cat, f = cache
     n, k, _ = gathered.shape
     grads = {
         "fuse_fw": cat.T @ g,
@@ -115,8 +114,10 @@ def fuse_bwd(g, cache, params):
     dfeats = dcat[:, :f]
     dpooled = dcat[:, f:]
     dr = np.zeros((n, k, f), dtype=np.float64)
+    # only the argmax rows get a gradient, and there relu(r) > 0 exactly
+    # where r > 0 (NaN included), so the pooled half of cat gives the mask
+    dpooled = dpooled * (cat[:, f:] > 0.0)
     np.put_along_axis(dr, arg[:, None, :], dpooled[:, None, :], axis=1)
-    dr *= mask
     grads["fuse_cw"] = gathered.reshape(-1, f).T @ dr.reshape(-1, f)
     grads["fuse_cb"] = dr.reshape(-1, f).sum(axis=0)
     return dfeats, grads
