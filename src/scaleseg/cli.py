@@ -157,19 +157,26 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
     """(models, pcfg) from the checkpoints of the given scale ids.
 
     Each checkpoint must hold the tensor names and shapes of a fresh
-    model of its stored configuration; only scales >= 2 fuse (scale id 0
-    is the whole-cloud baseline). All of them, and pcfg when given, must
-    share one PipelineConfig; a checkpoint without k_fuse has the
-    default one. A checkpoint that records the voxel sizes it was
-    trained with must start with the configured `voxel_sizes` up to its
-    own scale (all of them for the baseline), and one that records its
-    role and scale id must have been trained as the id it is loaded as.
+    model of its stored configuration: scales >= 2 fuse unless its k_fuse
+    is 0 (scale id 0 is the whole-cloud baseline). All of them, and pcfg
+    when given, must share one PipelineConfig; a checkpoint without
+    k_fuse has the default one. A checkpoint that records the voxel
+    sizes it was trained with must start with the configured
+    `voxel_sizes` up to its own scale (all of them for the baseline),
+    and one that records its role and scale id must have been trained
+    as the id it is loaded as.
     """
     models = []
     for scale_id in scale_ids:
         path = _model_path(models_dir, scale_id)
         params, bcfg, frozen, extras = load_checkpoint(path)
-        want = param_shapes(bcfg, with_fusion=scale_id > 1)
+        try:
+            stored = PipelineConfig(
+                bcfg, int(extras.get("k_fuse", PipelineConfig.k_fuse)))
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"{models_dir}: bad k_fuse in the checkpoints: {exc}") from None
+        want = param_shapes(bcfg, with_fusion=scale_id > 1 and stored.k_fuse > 0)
         got = {k: v.shape for k, v in params.items()}
         if got != want:
             missing = sorted(want.keys() - got.keys())
@@ -178,12 +185,6 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
             raise CheckpointFormatError(
                 f"{path}: tensors do not match the stored configuration "
                 f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})")
-        try:
-            stored = PipelineConfig(
-                bcfg, int(extras.get("k_fuse", PipelineConfig.k_fuse)))
-        except ValueError as exc:
-            raise CheckpointFormatError(
-                f"{models_dir}: bad k_fuse in the checkpoints: {exc}") from None
         if pcfg is None:
             pcfg = stored
         elif stored != pcfg:
@@ -213,11 +214,12 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
 
 def _fresh_model(pcfg: PipelineConfig, scale_id, seed):
     """Untrained model of a scale id; 0 is the whole-cloud baseline."""
+    with_fusion = scale_id > 1 and pcfg.k_fuse > 0
     try:
         params = init_params(pcfg.backbone, seed=seed + (scale_id or 999),
-                             with_fusion=scale_id > 1)
+                             with_fusion=with_fusion)
     except MemoryError:
-        shapes = param_shapes(pcfg.backbone, with_fusion=scale_id > 1)
+        shapes = param_shapes(pcfg.backbone, with_fusion=with_fusion)
         count = sum(math.prod(s) for s in shapes.values())
         raise ConfigError(
             f"feature_dim={pcfg.backbone.feature_dim}: a model of {count:,} "
@@ -375,8 +377,7 @@ def cmd_infer(args):
                                 part_cfg.voxel_sizes)
     parts = build_partitions(cloud, part_cfg)
     preds, report = run_pipeline(models, cloud, parts, pcfg,
-                                 threaded=args.threaded,
-                                 fusion_enabled=not args.no_fusion)
+                                 threaded=args.threaded)
     for line in [_run_record(), *_scale_lines(report, arrivals)]:
         print(line)
     if args.out:
@@ -416,11 +417,13 @@ def cmd_bench(args):
     [base] = base_report.scales
     lines = [_run_record(), *_scale_lines(report)]
     lines.append(_record("baseline", n_points=base.n_points,
-                         wall_ms=base.duration_ms, plan_ms=base.plan_ms,
+                         wall_ms=base.labels_ms, plan_ms=base.plan_ms,
                          knn_queries=base.knn_queries,
                          distance_evals=base.distance_evals))
     scalable_evals = report.total_distance_evals
+    scalable_wall = max(s.labels_ms for s in report.scales)
     lines.append(_record("scalable", total_ms=report.total_ms,
+                         wall_ms=scalable_wall,
                          plan_ms=sum(s.plan_ms for s in report.scales),
                          knn_queries=sum(s.knn_queries for s in report.scales),
                          distance_evals=scalable_evals))
@@ -429,7 +432,8 @@ def cmd_bench(args):
         lines.append(_gain_record(est))
         lines.append(_record(
             "ratio", predicted_ratio=est.reduction_ratio,
-            measured_ratio=scalable_evals / base.distance_evals))
+            measured_ratio=scalable_evals / base.distance_evals,
+            speedup=base.labels_ms / scalable_wall))
     _emit(lines, args.out)
     return 0
 
@@ -446,8 +450,7 @@ def cmd_eval(args):
         raise CloudFormatError(
             f"models expect {pcfg.backbone.num_classes} classes, "
             f"data has {num_classes}")
-    rows, _ = evaluate(models, scenes, pcfg,
-                       fusion_enabled=not args.no_fusion)
+    rows, _ = evaluate(models, scenes, pcfg)
     headers = ["Scale", "Method", "oAcc", "mAcc", "mIoU", "Time(ms)"]
     table_rows = [[r["scale"], r["method"], f"{r['oacc']:.4f}",
                    f"{r['macc']:.4f}", f"{r['miou']:.4f}",
@@ -525,7 +528,9 @@ def build_parser():
     t.add_argument("--learning-rate", dest="learning_rate")
     t.add_argument("--momentum")
     t.add_argument("--feature-dim", dest="feature_dim")
-    t.add_argument("--k-fuse", dest="k_fuse")
+    t.add_argument("--k-fuse", dest="k_fuse",
+                   help="stored neighbors each point fuses with (default "
+                        "8); 0 trains a model set without fusion")
     t.set_defaults(fn=cmd_train)
 
     i = sub.add_parser("infer", parents=[common],
@@ -536,7 +541,6 @@ def build_parser():
     i.add_argument("--arrival-times",
                    help="per-scale arrival times in ms, e.g. 0,15,50")
     i.add_argument("--threaded", action="store_true", help=THREADED_HELP)
-    i.add_argument("--no-fusion", action="store_true")
     i.set_defaults(fn=cmd_infer)
 
     b = sub.add_parser("bench", parents=[common],
@@ -550,14 +554,13 @@ def build_parser():
     b.set_defaults(fn=cmd_bench)
 
     e = sub.add_parser("eval", parents=[common],
-                       help="per-scale metrics, optionally without fusion")
+                       help="per-scale metrics of a trained model set")
     e.add_argument("--in", dest="infile")
     e.add_argument("--scenes")
     e.add_argument("--points")
     e.add_argument("--classes")
     e.add_argument("--models", required=True)
     e.add_argument("--voxel-sizes", dest="voxel_sizes")
-    e.add_argument("--no-fusion", action="store_true")
     e.set_defaults(fn=cmd_eval)
 
     n = sub.add_parser("gain", parents=[common],

@@ -56,19 +56,16 @@ class FeatureStore:
                 np.concatenate([e[2] for e in self._entries], axis=0))
 
 
-def _store_neighbors(store_positions, positions, k_fuse, counter):
-    index = NeighborIndex(store_positions, counter=counter)
-    ids, _ = index.knn_batch(positions, min(int(k_fuse), store_positions.shape[0]))
-    return ids
-
-
-def fusion_neighbors(store: FeatureStore, positions, k_fuse, counter=None):
-    """Ids of each position's k_fuse nearest stored rows (clamped to the store).
+def fusion_neighbors(store_positions, positions, k_fuse, counter=None):
+    """Ids of each position's k_fuse nearest stored rows (clamped to the
+    store); store_positions is `FeatureStore.merged()[0]`.
 
     Parameter-free, so it holds for as long as the store and the
     positions stay fixed, e.g. for every epoch of one training call.
     """
-    return _store_neighbors(store.merged()[0], positions, k_fuse, counter)
+    index = NeighborIndex(store_positions, counter=counter)
+    ids, _ = index.knn_batch(positions, min(int(k_fuse), store_positions.shape[0]))
+    return ids
 
 
 def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
@@ -76,8 +73,8 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
     """Enrich current features with the store; positions pass through.
 
     Returns (FeatureMatrix, cache). k_fuse is clamped to the store size.
-    neighbors: fusion_neighbors(store, current.positions, k_fuse), when
-    the caller already holds it; otherwise it is computed here.
+    neighbors: fusion_neighbors of current.positions in this store, when
+    the caller already holds them; otherwise they are computed here.
     """
     if int(k_fuse) < 1:
         raise ValueError("k_fuse must be >= 1")
@@ -88,7 +85,7 @@ def fuse(current: FeatureMatrix, store: FeatureStore, params, k_fuse,
         raise ValueError("current feature width does not match the store")
     spos, sfeat = store.merged()
     idx = (neighbors if neighbors is not None
-           else _store_neighbors(spos, current.positions, k_fuse, counter))
+           else fusion_neighbors(spos, current.positions, k_fuse, counter))
     gathered = sfeat[idx]  # (N, k, F)
     r = gathered @ params["fuse_cw"]
     r += params["fuse_cb"]

@@ -231,13 +231,9 @@ def grid_pool_fwd(feats, groups):
 
 def grid_pool_bwd(g, cache):
     order, starts, counts = cache
-    n = order.size
-    group_of_sorted = np.zeros(n, dtype=np.int64)
-    group_of_sorted[starts] = 1
-    group_of_sorted = np.cumsum(group_of_sorted) - 1
-    scaled = g / counts[:, None]
-    dfeats = np.empty((n, g.shape[1]), dtype=np.float64)
-    dfeats[order] = scaled[group_of_sorted]
+    dfeats = np.empty((order.size, g.shape[1]), dtype=np.float64)
+    dfeats[order] = np.repeat(g / counts[:, None],
+                              np.diff(np.r_[starts, order.size]), axis=0)
     return dfeats
 
 

@@ -4,10 +4,11 @@ complexity accounting that motivates partitioned processing.
 Every scale with points enters the FeatureStore by one chain,
 `_store_scale`: plan -> encode -> wait for the previous scale -> fuse
 with the store -> append (the first meets an empty store and fuses
-nothing). `run_pipeline` decodes each scale after it; training runs it
-for the frozen scales below the trained one, so that scale fuses with
-exactly the store inference builds. The store grows before decode, so
-the next scale's fusion can overlap this scale's decoder.
+nothing; with k_fuse = 0 none fuses). `run_pipeline` decodes each
+scale after it; training runs it for the frozen scales below the
+trained one, so that scale fuses with exactly the store inference
+builds. The store grows before decode, so the next scale's fusion can
+overlap this scale's decoder.
 
 Every run follows one ready chain, linking each scale that has points
 to the previous one. The first of them runs on the calling thread
@@ -52,11 +53,11 @@ from .knn import EvalCounter
 @dataclass(frozen=True)
 class PipelineConfig:
     backbone: BackboneConfig
-    k_fuse: int = 8
+    k_fuse: int = 8  # 0: no scale fuses
 
     def __post_init__(self):
-        if self.k_fuse < 1:
-            raise ValueError("k_fuse must be >= 1")
+        if self.k_fuse < 0:
+            raise ValueError("k_fuse must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +197,12 @@ class TimingReport:
 # execution
 
 def _store_scale(i, model, positions, feats, voxel_size, store, cfg,
-                 counter=None, after=None, failed=None, fusion_enabled=True):
+                 counter=None, after=None, failed=None):
     """Plan and encode scale i + 1, wait for `after`, fuse with the store
-    and append: the only chain that adds a scale to a store. Returns
-    (fused, plan_ms, encode_ms, fuse_ms), or None once `failed` is set;
-    training's frozen scales pass no `after`, `failed` or counter.
+    unless cfg.k_fuse is 0, and append: the only chain that adds a scale
+    to a store. Returns (fused, plan_ms, encode_ms, fuse_ms), or None once
+    `failed` is set; training's frozen scales pass no `after`, `failed`
+    or counter.
     """
     t0 = time.perf_counter()
     stages = plan_stages(positions, voxel_size, cfg.backbone, counter)
@@ -214,7 +216,7 @@ def _store_scale(i, model, positions, feats, voxel_size, store, cfg,
             return None
     fuse_ms = 0.0
     fused = fm
-    if fusion_enabled and store.size > 0:
+    if cfg.k_fuse and store.size > 0:
         tf = time.perf_counter()
         fused = fuse(fm, store, model.params, cfg.k_fuse, counter=counter)[0]
         fuse_ms = (time.perf_counter() - tf) * 1e3
@@ -223,7 +225,7 @@ def _store_scale(i, model, positions, feats, voxel_size, store, cfg,
 
 
 def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
-                 cfg: PipelineConfig, threaded=False, fusion_enabled=True):
+                 cfg: PipelineConfig, threaded=False):
     """Run all scales; returns (predictions, TimingReport).
 
     The schedule is the module docstring's; threaded only chooses the
@@ -234,9 +236,9 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
     end, a schedule not yet measured there. A scale with no points never
     runs: its empty prediction exists from the start, so its ScaleTiming
     is all zero, `labels_ms` included. Scale i fuses with exactly scales
-    1..i-1 under any worker count, so the predictions are bit-identical
-    to a sequential run. `labels_ms` is the wall time from this call's
-    start until a prediction existed.
+    1..i-1 under any worker count (with none when cfg.k_fuse is 0), so
+    the predictions are bit-identical to a sequential run. `labels_ms`
+    is the wall time from this call's start until a prediction existed.
     """
     t_start = time.perf_counter()
     s = parts.num_scales
@@ -265,7 +267,7 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
         try:
             stored = _store_scale(i, models[i], positions, feats_all[idx],
                                   parts.voxel_sizes[i], store, cfg, counter,
-                                  after, failed, fusion_enabled)
+                                  after, failed)
             if stored is None:
                 return
             fused, plan_ms, encode_ms, fuse_ms = stored

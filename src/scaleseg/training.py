@@ -106,13 +106,15 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
         idx = parts.partitions[scale_id - 1]
         if idx.size == 0:
             continue
-        store = _build_store(models, cloud, parts, scale_id - 1, cfg)
+        # with k_fuse = 0 the trainee fuses nothing: no frozen forward
+        store = _build_store(models, cloud, parts,
+                             scale_id - 1 if cfg.k_fuse else 0, cfg)
         positions = cloud.positions[idx]
         stages = plan_stages(positions, parts.voxel_sizes[scale_id - 1],
                              cfg.backbone)
         coarse = stages[-1].positions
         interp = plan_interp(coarse, positions, cfg.backbone)
-        neighbors = (fusion_neighbors(store, coarse, cfg.k_fuse)
+        neighbors = (fusion_neighbors(store.merged()[0], coarse, cfg.k_fuse)
                      if store.size > 0 else None)
         samples.append((positions, cloud.xyzrgb()[idx], cloud.labels[idx],
                         store, scale_id, stages, interp, neighbors))
@@ -149,7 +151,7 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
     return epoch_losses
 
 
-def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
+def evaluate(models, scenes, cfg: PipelineConfig):
     """Per-scale confusion matrices and metrics over labeled scenes.
 
     Returns (rows, matrices): one row dict per scale with oAcc/mAcc/
@@ -167,15 +169,14 @@ def evaluate(models, scenes, cfg: PipelineConfig, fusion_enabled=True):
             raise ValueError("evaluation scenes must carry labels")
         if parts.num_scales != num_scales:
             raise ValueError("scenes disagree on the number of scales")
-        preds, report = run_pipeline(models, cloud, parts, cfg,
-                                     fusion_enabled=fusion_enabled)
+        preds, report = run_pipeline(models, cloud, parts, cfg)
         for i in range(num_scales):
             idx = parts.partitions[i]
             if idx.size:
                 matrices[i].update(cloud.labels[idx], preds[i].labels)
         cumulative += [r["cumulative_ms"] for r in report.records()]
 
-    method = "fusion" if fusion_enabled else "no-fusion"
+    method = "fusion" if cfg.k_fuse else "no-fusion"
     rows = []
     for i, cm in enumerate(matrices):
         oacc, macc, miou = compute_metrics(cm)

@@ -95,7 +95,7 @@ def test_gain_rejects_garbage():
     (["generate", "--points", "0"], None, "num_points must be >= 1"),
     (["train", "--scale", "1", "--epochs", "0"], None, "epochs must be >= 1"),
     (["train", "--scale", "1", "--feature-dim", "0"], None, "feature_dim"),
-    (["train", "--scale", "1", "--k-fuse", "0"], None, "k_fuse must be >= 1"),
+    (["train", "--scale", "1", "--k-fuse", "-1"], None, "k_fuse must be >= 0"),
     (["partition", "--voxel-sizes", "nan,0.1"], None,
      "voxel sizes must be positive and finite"),
     (["partition", "--voxel-sizes", "inf,0.1"], None,
@@ -660,21 +660,35 @@ def test_infer_non_utf8_checkpoint(tmp_path, trained, capsys):
     assert "utf-8" in capsys.readouterr().err
 
 
-def test_eval_reports_metrics(trained, capsys):
-    assert run(["eval", "--models", str(trained), "--scenes", "1",
-                "--points", "1500", "--classes", "4", "--seed", "1",
-                "--voxel-sizes", "0.5,0.35"]) == 0
+def test_eval_reports_metrics(tmp_path, trained, capsys):
+    scene = ["--scenes", "1", "--points", "1500", "--classes", "4",
+             "--seed", "1", "--voxel-sizes", "0.5,0.35"]
+    assert run(["eval", "--models", str(trained)] + scene) == 0
     out = capsys.readouterr().out
     rows = _of_kind(out, "metrics")
     assert [(r["scale"], r["method"]) for r in rows] == [(1, "fusion"),
                                                          (2, "fusion")]
     assert all(0.0 <= r["miou"] <= 1.0 for r in rows)
     assert "mIoU" in out
-    assert run(["eval", "--models", str(trained), "--scenes", "1",
-                "--points", "1500", "--classes", "4", "--seed", "1",
-                "--voxel-sizes", "0.5,0.35", "--no-fusion"]) == 0
+    # the no-fusion ablation is a model set of its own, trained with
+    # k_fuse = 0
+    plain = tmp_path / "plain"
+    for scale in ("1", "2"):
+        assert run(["train", "--scale", scale, "--models", str(plain),
+                    "--epochs", "1", "--feature-dim", "8", "--k-fuse", "0"]
+                   + scene) == 0
+    params, _, _, extras = load_checkpoint(plain / "scale_2.ckpt")
+    assert extras["k_fuse"] == "0"
+    assert not [k for k in params if k.startswith("fuse_")]
+    capsys.readouterr()
+    assert run(["eval", "--models", str(plain)] + scene) == 0
     rows = _of_kind(capsys.readouterr().out, "metrics")
-    assert {r["method"] for r in rows} == {"no-fusion"}
+    assert [(r["scale"], r["method"]) for r in rows] == [(1, "no-fusion"),
+                                                         (2, "no-fusion")]
+    # a fused scale 2 over the plain scale 1 is a mixed set: refused
+    (plain / "scale_2.ckpt").write_bytes((trained / "scale_2.ckpt").read_bytes())
+    assert run(["eval", "--models", str(plain)] + scene) == 2
+    assert "does not match" in capsys.readouterr().err
 
 
 def test_eval_scale_without_points_is_input_error(tmp_path, trained, capsys,
@@ -702,6 +716,7 @@ def test_bench_reports_ratios(capsys):
     assert ratio["predicted_ratio"] == gain["reduction_ratio"]
     assert ratio["measured_ratio"] == (scalable["distance_evals"]
                                        / base["distance_evals"])
+    assert ratio["speedup"] == base["wall_ms"] / scalable["wall_ms"]
     assert base["distance_evals"] > base["knn_queries"] > 0
     assert 0 < base["plan_ms"] < base["wall_ms"]
     scales = _of_kind(out, "scale")
@@ -711,6 +726,8 @@ def test_bench_reports_ratios(capsys):
     assert scalable["plan_ms"] == sum(rec["plan_ms"] for rec in scales)
     assert scalable["knn_queries"] == sum(rec["knn_queries"] for rec in scales)
     assert 0 < scalable["plan_ms"] < scalable["total_ms"]
+    # a wall runs from its run_pipeline call's start to its last labels
+    assert scalable["wall_ms"] == max(rec["labels_ms"] for rec in scales)
     assert "Plan(ms)" in out
 
 

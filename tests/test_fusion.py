@@ -134,7 +134,8 @@ def test_fusion_neighbors_reused_by_fuse():
                             rng.normal(size=(12, f)), 3)
     params = fuse_params(rng, f)
     counter = EvalCounter()
-    ids = fusion_neighbors(store, current.positions, 30, counter=counter)
+    ids = fusion_neighbors(store.merged()[0], current.positions, 30,
+                           counter=counter)
     assert ids.shape == (12, 24)  # k_fuse clamped to the store size
     assert counter.count == 12 * 24
     direct, _ = fuse(current, store, params, k_fuse=30)

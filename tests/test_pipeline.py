@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_threaded_empty_first_scale_fuses_nothing(monkeypatch, threaded):
     cloud, parts, pcfg, models = make_setup(seed=3)
     parts = _emptied(parts, 0)
     preds, report = run_pipeline(models, cloud, parts, pcfg, threaded=threaded)
-    bypass, _ = run_pipeline(models, cloud, parts, pcfg, fusion_enabled=False)
+    bypass, _ = run_pipeline(models, cloud, parts, replace(pcfg, k_fuse=0))
     assert preds[0].logits.shape == (0, pcfg.backbone.num_classes)
     assert report.scales[0] == pipeline.ScaleTiming(
         1, 0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
@@ -572,7 +573,7 @@ def test_run_pipeline_predictions_golden(monkeypatch, threaded, cores):
 def test_run_pipeline_fusion_bypass_differs():
     cloud, parts, pcfg, models = make_setup(seed=4)
     with_f, _ = run_pipeline(models, cloud, parts, pcfg)
-    bypass = run_pipeline(models, cloud, parts, pcfg, fusion_enabled=False)[0]
+    bypass = run_pipeline(models, cloud, parts, replace(pcfg, k_fuse=0))[0]
     assert np.array_equal(with_f[0].logits, bypass[0].logits)  # scale 1 has no fusion
     assert not np.array_equal(with_f[1].logits, bypass[1].logits)
 

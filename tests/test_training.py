@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scaleseg import backbone, knn
+from scaleseg import backbone, knn, pipeline, training
 from scaleseg.backbone import BackboneConfig, ScaleModel, init_params
 from scaleseg.cloud import PartitionConfig, PointCloud, build_partitions
 from scaleseg.fusion import FeatureStore
@@ -131,6 +133,30 @@ def test_train_scale_searches_neighbors_once_per_call(monkeypatch):
     assert one_epoch.count("fusion") == 2
 
 
+def test_train_scale_without_fusion_runs_no_frozen_forward(monkeypatch):
+    # with k_fuse = 0 scale 2 fuses nothing, so the frozen scale 1 below it
+    # is never encoded and the trainee needs no fusion weights
+    scenes = make_scenes(count=2, n_points=500)
+    pcfg = replace(make_cfg(), k_fuse=0)
+    m1 = ScaleModel(init_params(pcfg.backbone, seed=1))
+    m1.freeze()
+    m2 = ScaleModel(init_params(pcfg.backbone, seed=2))
+    encoded = []
+    encode = backbone.encode
+
+    def spy(*args, **kwargs):
+        encoded.append(kwargs["scale_id"])
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", spy)
+    monkeypatch.setattr(training, "encode", spy)
+    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05,
+                       momentum=0.9, rng_seed=3)
+    losses = train_scale([m1, m2], 2, scenes, pcfg, tcfg)
+    assert all(np.isfinite(losses))
+    assert encoded == [2] * 4  # two scenes, two epochs, only the trainee
+
+
 def test_build_store_matches_pipeline_store(monkeypatch):
     # training feeds its scale the frozen lower scales' store; it must hold
     # the bytes that inference stores for those scales
@@ -212,7 +238,7 @@ def test_evaluate_rows_and_matrices():
         for key in ("oacc", "macc", "miou"):
             assert 0.0 <= row[key] <= 1.0
         assert row["cumulative_ms"] > 0
-    off_rows, _ = evaluate(models, scenes, pcfg, fusion_enabled=False)
+    off_rows, _ = evaluate(models, scenes, replace(pcfg, k_fuse=0))
     assert all(r["method"] == "no-fusion" for r in off_rows)
     # scale 1 never fuses, so its confusion counts agree either way
     assert rows[0]["oacc"] == off_rows[0]["oacc"]
