@@ -4,12 +4,12 @@ The network is a deliberately small point-transformer-style model:
 
   encode:  embedding MLP on xyzrgb, one vector-attention block at the
            input resolution, then per extra stage a grid-pool downsample
-           (voxel = base_voxel * downsample_factor**stage) followed by
+           (voxel = base_voxel * DOWNSAMPLE_FACTOR**stage) followed by
            another attention block. Output features live on the final
            (coarsest) point set.
-  decode:  inverse-distance interpolation of the (possibly fused)
-           coarse features back onto every partition point, a stack of
-           linear+rectifier layers, and a linear classification head.
+  decode:  inverse-distance interpolation of the INTERP_NEIGHBORS nearest
+           (possibly fused) coarse features onto every partition point, a
+           stack of linear+rectifier layers, and a linear classification head.
 
 Geometry, which depends on positions only, is planned by the caller:
 plan_stages for encode, plan_interp for decode. Forwards then run only
@@ -19,7 +19,6 @@ constants of the graph and receive no gradient. Both halves require
 >= 1 input point.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +40,25 @@ from .layers import (
 )
 
 
+# fixed parts of the network that no caller varies
+DOWNSAMPLE_FACTOR = 2.0
+INTERP_NEIGHBORS = 3
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Shape of the per-scale network.
 
     Stage 0 attends at the input resolution (a partition already has
     one point per base voxel, so pooling there would be a no-op); each
-    later stage s pools at base_voxel * downsample_factor**s first.
+    later stage s pools at base_voxel * DOWNSAMPLE_FACTOR**s first. The
+    decoder interpolates from the INTERP_NEIGHBORS nearest coarse points.
     """
 
     num_classes: int
     feature_dim: int = 32
     attention_neighbors: int = 8
     encoder_stages: int = 2
-    downsample_factor: float = 2.0
-    interp_neighbors: int = 3
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -64,10 +67,8 @@ class BackboneConfig:
             raise ValueError("feature_dim must be >= 1")
         if self.encoder_stages < 1:
             raise ValueError("encoder_stages must be >= 1")
-        if self.attention_neighbors < 1 or self.interp_neighbors < 1:
-            raise ValueError("neighbor counts must be >= 1")
-        if not math.isfinite(self.downsample_factor) or self.downsample_factor < 1.0:
-            raise ValueError("downsample_factor must be finite and >= 1")
+        if self.attention_neighbors < 1:
+            raise ValueError("attention_neighbors must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def plan_stages(positions, base_voxel, cfg, counter=None):
     """Pooled positions, pooling groups and attention KNN ids per stage.
 
     positions (N, 3), N >= 1. base_voxel is the partition's own voxel
-    size; stage t pools at base_voxel * downsample_factor**t.
+    size; stage t pools at base_voxel * DOWNSAMPLE_FACTOR**t.
     """
     if positions.shape[0] < 1:
         raise ValueError("plan_stages requires a non-empty partition")
@@ -199,7 +200,7 @@ def plan_stages(positions, base_voxel, cfg, counter=None):
     cur, pool = positions, None
     for t in range(cfg.encoder_stages):
         if t:
-            pool = grid_pool_groups(cur, base_voxel * cfg.downsample_factor ** t)
+            pool = grid_pool_groups(cur, base_voxel * DOWNSAMPLE_FACTOR ** t)
             cur = pool[0]
         idx, _ = counted_knn(cur, cur, min(cfg.attention_neighbors, cur.shape[0]),
                              counter)
@@ -207,10 +208,10 @@ def plan_stages(positions, base_voxel, cfg, counter=None):
     return tuple(stages)
 
 
-def plan_interp(src_positions, positions, cfg, counter=None):
+def plan_interp(src_positions, positions, counter=None):
     """Decode interpolation (ids, weights) from src_positions onto positions."""
     idx, d2 = counted_knn(src_positions, positions,
-                          min(cfg.interp_neighbors, src_positions.shape[0]), counter)
+                          min(INTERP_NEIGHBORS, src_positions.shape[0]), counter)
     return idx, interp_weights(np.sqrt(d2))
 
 
@@ -282,7 +283,7 @@ def decode(model, fused: FeatureMatrix, positions, cfg, interp):
     """Coarse features -> Prediction for every partition point.
 
     positions: (N, 3) of the full partition; every row receives logits.
-    interp: plan_interp(fused.positions, positions, cfg), one row per
+    interp: plan_interp(fused.positions, positions), one row per
     position.
     """
     if fused.n < 1:

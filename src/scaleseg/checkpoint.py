@@ -6,8 +6,10 @@ Layout (little-endian):
   u64 dims..., raw float64 data (C order).
 
 meta is a key=value block (one pair per line) holding every
-BackboneConfig field plus caller extras; loading returns any other key,
-such as the input width that older files stored, as an extra. A
+BackboneConfig field plus caller extras. Loading checks the
+downsample_factor and interp_neighbors that older files hold against
+the network's constants, and returns any other key, such as the input
+width that older files stored, as an extra. A
 metadata key or tensor name that appears twice is a format error. Floats
 are written with repr so the round trip is value-exact; tensor data
 round-trips bit-exactly.
@@ -19,10 +21,15 @@ import struct
 
 import numpy as np
 
-from .backbone import BackboneConfig
+from .backbone import DOWNSAMPLE_FACTOR, INTERP_NEIGHBORS, BackboneConfig
 
 _MAGIC = b"SSCP"
 _VERSION = 1
+
+
+# keys older files record for what is now a constant of the network
+_FIXED = {"downsample_factor": DOWNSAMPLE_FACTOR,
+          "interp_neighbors": INTERP_NEIGHBORS}
 
 
 class CheckpointFormatError(ValueError):
@@ -79,7 +86,8 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, frozen, extras)."""
+    """Returns (params, cfg, frozen, extras). Refuses a file trained with
+    another downsample_factor or interp_neighbors than the constants."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob, path)
@@ -98,8 +106,14 @@ def load_checkpoint(path):
     try:
         cfg = BackboneConfig(**{f.name: f.type(meta.pop(f.name))
                                 for f in dataclasses.fields(BackboneConfig)})
+        recorded = {key: type(value)(meta.pop(key))
+                    for key, value in _FIXED.items() if key in meta}
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad config block: {exc}") from None
+    for key, value in recorded.items():
+        if value != _FIXED[key]:
+            raise CheckpointFormatError(f"{path}: trained with {key}={value!r}, "
+                                        f"the network fixes {_FIXED[key]!r}")
     (count,) = r.unpack("<I")
     params = {}
     for _ in range(count):

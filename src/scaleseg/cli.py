@@ -43,18 +43,14 @@ _CONFIG_FIELDS = {
     "objects": (SceneSpec, "num_objects", cfgmod.as_int),
     "extents": (SceneSpec, "extents", cfgmod.as_float_list),
     "noise": (SceneSpec, "noise_sigma", cfgmod.as_float),
-    "walls": (SceneSpec, "include_walls", cfgmod.as_bool),
     "feature_dim": (BackboneConfig, "feature_dim", cfgmod.as_int),
     "attention_neighbors": (BackboneConfig, "attention_neighbors", cfgmod.as_int),
     "encoder_stages": (BackboneConfig, "encoder_stages", cfgmod.as_int),
-    "downsample_factor": (BackboneConfig, "downsample_factor", cfgmod.as_float),
-    "interp_neighbors": (BackboneConfig, "interp_neighbors", cfgmod.as_int),
     "k_fuse": (PipelineConfig, "k_fuse", cfgmod.as_int),
     "voxel_sizes": (PartitionConfig, "voxel_sizes", cfgmod.as_float_list),
     "epochs": (TrainConfig, "epochs", cfgmod.as_int),
     "batch_size": (TrainConfig, "batch_size", cfgmod.as_int),
     "learning_rate": (TrainConfig, "learning_rate", cfgmod.as_float),
-    "momentum": (TrainConfig, "momentum", cfgmod.as_float),
 }
 _KNOWN_KEYS = tuple(_CONFIG_FIELDS) + ("scenes", "seed")
 
@@ -158,9 +154,10 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
 
     Each checkpoint must hold the tensor names and shapes of a fresh
     model of its stored configuration: scales >= 2 fuse unless its k_fuse
-    is 0 (scale id 0 is the whole-cloud baseline). All of them, and pcfg
+    is 0 (scale id 0 is the whole-cloud baseline). All scales, and pcfg
     when given, must share one PipelineConfig; a checkpoint without
-    k_fuse has the default one. A checkpoint that records the voxel
+    k_fuse has the default one. The baseline never fuses, so only its
+    BackboneConfig must match. A checkpoint that records the voxel
     sizes it was trained with must start with the configured
     `voxel_sizes` up to its own scale (all of them for the baseline),
     and one that records its role and scale id must have been trained
@@ -187,7 +184,8 @@ def _load_models(models_dir, scale_ids, voxel_sizes, pcfg=None):
                 f"(missing {missing}, unexpected {unexpected}, wrong shape {reshaped})")
         if pcfg is None:
             pcfg = stored
-        elif stored != pcfg:
+        elif (stored.backbone != pcfg.backbone if scale_id == 0
+              else stored != pcfg):
             raise CheckpointFormatError(
                 f"{path}: model configuration {stored} does not match {pcfg}")
         trained_as = {k: extras[k] for k in ("role", "scale_id") if k in extras}
@@ -288,8 +286,6 @@ def _emit(lines, out_path):
 
 def cmd_generate(args):
     cfg = _merge_config(args)
-    if args.no_walls:
-        cfg["walls"] = "0"
     if not args.out:
         raise ConfigError("generate requires --out")
     cloud = generate_scene(_scene_spec(cfg, _seed(cfg)))
@@ -502,7 +498,6 @@ def build_parser():
     g.add_argument("--objects", help="number of objects (floor/walls/boxes)")
     g.add_argument("--extents", help="room extents, e.g. 8,8,3")
     g.add_argument("--noise", help="color noise sigma")
-    g.add_argument("--no-walls", action="store_true")
     g.set_defaults(fn=cmd_generate)
 
     q = sub.add_parser("partition", parents=[common],
@@ -526,7 +521,6 @@ def build_parser():
     t.add_argument("--epochs")
     t.add_argument("--batch-size", dest="batch_size")
     t.add_argument("--learning-rate", dest="learning_rate")
-    t.add_argument("--momentum")
     t.add_argument("--feature-dim", dest="feature_dim")
     t.add_argument("--k-fuse", dest="k_fuse",
                    help="stored neighbors each point fuses with (default "

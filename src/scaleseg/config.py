@@ -61,17 +61,6 @@ def as_float(cfg, key, default):
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
 
 
-def as_bool(cfg, key, default):
-    if key not in cfg:
-        return default
-    v = cfg[key].lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {cfg[key]!r}")
-
-
 def as_float_list(cfg, key, default):
     if key not in cfg:
         return default

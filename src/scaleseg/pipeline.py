@@ -273,8 +273,7 @@ def run_pipeline(models, cloud: PointCloud, parts: PartitionSet,
             fused, plan_ms, encode_ms, fuse_ms = stored
             ready.set()
             t2 = time.perf_counter()
-            interp = plan_interp(fused.positions, positions, cfg.backbone,
-                                 counter)
+            interp = plan_interp(fused.positions, positions, counter)
             ti = time.perf_counter()
             preds[i] = decode(models[i], fused, positions, cfg.backbone,
                               interp)[0]

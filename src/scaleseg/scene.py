@@ -1,6 +1,6 @@
 """Synthetic labeled indoor scenes.
 
-A scene is a floor plane, optionally four wall planes, and a set of
+A scene is a floor plane, up to four wall planes, and a set of
 axis-aligned boxes resting on the floor. Objects are sampled uniformly
 by surface area; every point is labeled with its object's class
 (object index modulo num_classes) and colored with a per-class base
@@ -18,7 +18,8 @@ from .cloud import PointCloud
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Recipe for one synthetic scene; fully determined by rng_seed."""
+    """Recipe for one synthetic scene; fully determined by rng_seed.
+    num_objects counts the floor, then up to four walls, then boxes."""
 
     extents: tuple = (8.0, 8.0, 3.0)
     num_objects: int = 8
@@ -26,7 +27,6 @@ class SceneSpec:
     num_points: int = 100_000
     noise_sigma: float = 0.05
     rng_seed: int = 0
-    include_walls: bool = True
 
     def __post_init__(self):
         ext = tuple(float(e) for e in self.extents)
@@ -78,14 +78,13 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
 
     # objects[i] = list of rectangles (origin, u edge, v edge); class i % C
     objects = [[((0.0, 0.0, 0.0), (lx, 0, 0), (0, ly, 0))]]  # floor
-    if spec.include_walls:
-        walls = [
-            ((0.0, 0.0, 0.0), (lx, 0, 0), (0, 0, lz)),
-            ((0.0, ly, 0.0), (lx, 0, 0), (0, 0, lz)),
-            ((0.0, 0.0, 0.0), (0, ly, 0), (0, 0, lz)),
-            ((lx, 0.0, 0.0), (0, ly, 0), (0, 0, lz)),
-        ]
-        objects.extend([w] for w in walls[: max(0, spec.num_objects - 1)])
+    walls = [
+        ((0.0, 0.0, 0.0), (lx, 0, 0), (0, 0, lz)),
+        ((0.0, ly, 0.0), (lx, 0, 0), (0, 0, lz)),
+        ((0.0, 0.0, 0.0), (0, ly, 0), (0, 0, lz)),
+        ((lx, 0.0, 0.0), (0, ly, 0), (0, 0, lz)),
+    ]
+    objects.extend([w] for w in walls[: spec.num_objects - 1])
     n_boxes = spec.num_objects - len(objects)
     for _ in range(n_boxes):
         size = rng.uniform(0.10, 0.22, 3) * spec.extents

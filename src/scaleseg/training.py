@@ -20,12 +20,15 @@ from .metrics import ConfusionMatrix, compute_metrics
 from .pipeline import PipelineConfig, _store_scale, run_pipeline
 
 
+# Heavy-ball momentum of the SGD update; no caller varies it.
+MOMENTUM = 0.9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 34
     batch_size: int = 4
     learning_rate: float = 0.02
-    momentum: float = 0.9
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +38,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError("learning_rate must be finite and >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 def _build_store(models, scene_cloud, parts, upto, cfg: PipelineConfig):
@@ -113,7 +114,7 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
         stages = plan_stages(positions, parts.voxel_sizes[scale_id - 1],
                              cfg.backbone)
         coarse = stages[-1].positions
-        interp = plan_interp(coarse, positions, cfg.backbone)
+        interp = plan_interp(coarse, positions)
         neighbors = (fusion_neighbors(store.merged()[0], coarse, cfg.k_fuse)
                      if store.size > 0 else None)
         samples.append((positions, cloud.xyzrgb()[idx], cloud.labels[idx],
@@ -141,7 +142,7 @@ def train_scale(models, scale_id, scenes, cfg: PipelineConfig,
             inv = 1.0 / len(batch)
             deltas = {}
             for k, g in acc.items():
-                velocity[k] = tcfg.momentum * velocity[k] + g * inv
+                velocity[k] = MOMENTUM * velocity[k] + g * inv
                 deltas[k] = -tcfg.learning_rate * velocity[k]
             model.apply_update(deltas)
         epoch_losses.append(float(np.mean(losses)))

@@ -64,8 +64,7 @@ def bench_run():
     cloud = generate_scene(SceneSpec(num_points=100_000, rng_seed=11))
     parts = build_partitions(cloud, PartitionConfig(rng_seed=11))  # defaults, s=4
     bcfg = BackboneConfig(num_classes=13, feature_dim=16, attention_neighbors=8,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=8)
     models = [ScaleModel(init_params(bcfg, seed=i, with_fusion=(i > 0)))
               for i in range(parts.num_scales)]
@@ -185,8 +184,7 @@ def test_criterion_5_gradient_correctness(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     bcfg = BackboneConfig(num_classes=3, feature_dim=4, attention_neighbors=3,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     n1, n2 = 25, 20  # 45 points total, <= 50
     pos1 = rng.uniform(0, 2, size=(n1, 3))
     feats1 = np.concatenate([pos1, rng.uniform(0, 1, size=(n1, 3))], axis=1)
@@ -202,7 +200,7 @@ def test_criterion_5_gradient_correctness(capsys):
         v += rng.normal(size=v.shape) * 0.05
 
     stages2 = plan_stages(pos2, 0.3, bcfg)
-    interp2 = plan_interp(stages2[-1].positions, pos2, bcfg)
+    interp2 = plan_interp(stages2[-1].positions, pos2)
 
     def forward(need_cache=False):
         store = FeatureStore(bcfg.feature_dim)
@@ -256,11 +254,9 @@ def test_criterion_6_frozen_scale_training(capsys, tmp_path):
                                                         rng_seed=21))
     assert all(s > 0 for s in parts.sizes)
     bcfg = BackboneConfig(num_classes=4, feature_dim=8, attention_neighbors=4,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=4)
-    tcfg = TrainConfig(epochs=2, batch_size=1, learning_rate=0.02,
-                       momentum=0.9, rng_seed=0)
+    tcfg = TrainConfig(epochs=2, batch_size=1, learning_rate=0.02, rng_seed=0)
     scenes = [(cloud, parts)]
     models = []
     digests = {}
@@ -341,8 +337,7 @@ def test_criterion_8_metrics_oracle(capsys):
 def test_criterion_9_learning_sanity(capsys):
     t0 = time.perf_counter()
     bcfg = BackboneConfig(num_classes=3, feature_dim=16, attention_neighbors=8,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=8)
     voxels = (0.35, 0.18)
 
@@ -362,7 +357,7 @@ def test_criterion_9_learning_sanity(capsys):
                        need_cache=False)
         if fusion_on:
             fm, _ = fuse(fm, store, model.params, pcfg.k_fuse)
-        interp = plan_interp(fm.positions, sub.positions, bcfg)
+        interp = plan_interp(fm.positions, sub.positions)
         pred, _ = decode(model, fm, sub.positions, bcfg, interp)
         cm = ConfusionMatrix(3)
         cm.update(sub.labels, pred.labels)
@@ -373,7 +368,7 @@ def test_criterion_9_learning_sanity(capsys):
     m1 = ScaleModel(init_params(bcfg, seed=1))
     train_scale([m1], 1, [(cloud, parts)], pcfg,
                 TrainConfig(epochs=30, batch_size=1, learning_rate=0.05,
-                            momentum=0.9, rng_seed=0))
+                            rng_seed=0))
     miou1 = partition_miou(m1, cloud, parts, 1)
     assert miou1 >= 0.8, f"scale-1 mIoU {miou1:.3f} < 0.8"
 
@@ -385,12 +380,12 @@ def test_criterion_9_learning_sanity(capsys):
         m1 = ScaleModel(init_params(bcfg, seed=s + 1))
         train_scale([m1], 1, [(cloud, parts)], pcfg,
                     TrainConfig(epochs=30, batch_size=1, learning_rate=0.05,
-                                momentum=0.9, rng_seed=0))
+                                rng_seed=0))
         m1.freeze()
         m2 = ScaleModel(init_params(bcfg, seed=s + 50, with_fusion=True))
         train_scale([m1, m2], 2, [(cloud, parts)], pcfg,
                     TrainConfig(epochs=30, batch_size=1, learning_rate=0.01,
-                                momentum=0.9, rng_seed=0))
+                                rng_seed=0))
         sub1 = gather(cloud, parts.partitions[0])
         fm1, _ = encode(m1, sub1.positions, sub1.xyzrgb(),
                         plan_stages(sub1.positions, voxels[0], bcfg), 1,
@@ -411,8 +406,7 @@ def test_criterion_9_learning_sanity(capsys):
 
 def test_criterion_10_scheduling_determinism(capsys):
     bcfg = BackboneConfig(num_classes=5, feature_dim=8, attention_neighbors=4,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=4)
     voxels = (0.5, 0.35, 0.25, 0.18)
     models = [ScaleModel(init_params(bcfg, seed=i, with_fusion=(i > 0)))

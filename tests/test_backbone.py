@@ -20,7 +20,7 @@ from scaleseg.layers import softmax_cross_entropy
 
 def small_cfg(**kw):
     base = dict(num_classes=4, feature_dim=6, attention_neighbors=4,
-                encoder_stages=2, downsample_factor=2.0, interp_neighbors=3)
+                encoder_stages=2)
     base.update(kw)
     return BackboneConfig(**base)
 
@@ -39,9 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(encoder_stages=0)
     with pytest.raises(ValueError):
-        small_cfg(downsample_factor=0.9)
-    with pytest.raises(ValueError):
-        small_cfg(interp_neighbors=0)
+        small_cfg(attention_neighbors=0)
 
 
 def test_init_params_deterministic_and_fusion_keys():
@@ -94,7 +92,7 @@ def test_decode_covers_all_points():
     model = ScaleModel(init_params(cfg, seed=2))
     fm, _ = encode(model, positions, feats, plan_stages(positions, 0.5, cfg))
     pred, _ = decode(model, fm, positions, cfg,
-                     plan_interp(fm.positions, positions, cfg))
+                     plan_interp(fm.positions, positions))
     assert isinstance(pred, Prediction)
     assert pred.logits.shape == (80, cfg.num_classes)
     assert pred.labels.shape == (80,)
@@ -114,12 +112,12 @@ def test_point_order_equivariance():
     model = ScaleModel(init_params(cfg, seed=5))
     fm, _ = encode(model, positions, feats, plan_stages(positions, 0.5, cfg))
     pred, _ = decode(model, fm, positions, cfg,
-                     plan_interp(fm.positions, positions, cfg))
+                     plan_interp(fm.positions, positions))
     perm = rng.permutation(60)
     fm2, _ = encode(model, positions[perm], feats[perm],
                     plan_stages(positions[perm], 0.5, cfg))
     pred2, _ = decode(model, fm2, positions[perm], cfg,
-                      plan_interp(fm2.positions, positions[perm], cfg))
+                      plan_interp(fm2.positions, positions[perm]))
     # coarse set is canonically ordered, so it is bit-identical; per-point
     # outputs follow the permutation
     assert np.array_equal(fm.positions, fm2.positions)
@@ -150,7 +148,7 @@ def test_encode_decode_loss_gradcheck_spot():
     labels = rng.integers(0, cfg.num_classes, size=14)
     model = ScaleModel(init_params(cfg, seed=7))
     stages = plan_stages(positions, 0.5, cfg)
-    interp = plan_interp(stages[-1].positions, positions, cfg)
+    interp = plan_interp(stages[-1].positions, positions)
 
     def loss():
         fm, _ = encode(model, positions, feats, stages, need_cache=False)
@@ -196,6 +194,6 @@ def test_plan_stages_rejects_empty_partition():
     with pytest.raises(ValueError):
         encode(model, positions[:30], feats[:30], stages)
     fm, _ = encode(model, positions, feats, stages)
-    interp = plan_interp(fm.positions, positions, cfg)
+    interp = plan_interp(fm.positions, positions)
     with pytest.raises(ValueError):
         decode(model, fm, positions[:30], cfg, interp)

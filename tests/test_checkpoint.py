@@ -14,8 +14,7 @@ from scaleseg.checkpoint import (
 
 def cfg():
     return BackboneConfig(num_classes=5, feature_dim=8, attention_neighbors=4,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
 
 
 def test_round_trip(tmp_path):
@@ -43,6 +42,29 @@ def test_old_in_dim_line_is_an_extra(tmp_path):
     assert lc == c
     assert extras == {"in_dim": "6"}
     assert not hasattr(lc, "in_dim")
+
+
+def test_recorded_constants_load(tmp_path):
+    # files written before the pooling factor and the interpolation
+    # neighbours became constants record them as config fields
+    c = cfg()
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c,
+                    extras={"downsample_factor": 2.0, "interp_neighbors": 3,
+                            "scale_id": 1})
+    _, lc, _, extras = load_checkpoint(path)
+    assert lc == c
+    assert extras == {"scale_id": "1"}
+
+
+@pytest.mark.parametrize("key, value", [("interp_neighbors", 5),
+                                        ("downsample_factor", 3.0)])
+def test_other_recorded_constant_is_refused(tmp_path, key, value):
+    c = cfg()
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, init_params(c, seed=0), c, extras={key: value})
+    with pytest.raises(CheckpointFormatError, match=f"trained with {key}="):
+        load_checkpoint(path)
 
 
 def test_canonical_bytes(tmp_path):

@@ -109,16 +109,28 @@ def test_gain_rejects_garbage():
     (["generate", "--noise", "nan"], None, "noise_sigma must be finite"),
     (["train", "--scale", "1", "--learning-rate", "inf"], None,
      "learning_rate must be finite"),
-    (["train", "--scale", "1"], "downsample_factor=inf\n",
-     "downsample_factor must be finite"),
+    (["train", "--scale", "1"], "learning_rate=inf\n",
+     "learning_rate must be finite"),
     (["train", "--scale", "1", "--learning-rate", "1e300", "--epochs", "2"],
      None, "learning_rate"),
     (["generate", "--seed", "-1"], None, "seed must be >= 0"),
     (["train", "--scale", "1"], "seed=-1\n", "seed must be >= 0"),
+    # settings that are now constants of the scene, network and training
+    (["generate"], "walls=0\n", "unknown keys walls"),
+    (["train", "--scale", "1"], "momentum=0.5\n", "unknown keys momentum"),
+    (["train", "--scale", "1"], "downsample_factor=2\n",
+     "unknown keys downsample_factor"),
+    (["train", "--scale", "1"], "interp_neighbors=3\n",
+     "unknown keys interp_neighbors"),
+    (["generate", "--no-walls"], None, "unrecognized arguments: --no-walls"),
+    (["train", "--scale", "1", "--momentum", "0.5"], None,
+     "unrecognized arguments: --momentum 0.5"),
 ], ids=["points", "epochs", "feature-dim", "k-fuse", "voxel-nan", "voxel-inf",
         "extents-nan", "extents-overflow", "areas-overflow", "areas-underflow",
-        "noise-nan", "learning-rate-inf", "downsample-inf-config",
-        "learning-rate-diverges", "seed-negative", "seed-negative-config"])
+        "noise-nan", "learning-rate-inf", "learning-rate-inf-config",
+        "learning-rate-diverges", "seed-negative", "seed-negative-config",
+        "walls-config", "momentum-config", "downsample-config",
+        "interp-config", "no-walls-flag", "momentum-flag"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, argv, config,
                                           message):
     out = tmp_path / "out.txt"
@@ -134,7 +146,14 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, argv, config,
     elif argv[0] == "train":
         argv = argv + ["--models", str(models), "--scenes", "1",
                        "--points", "300", "--voxel-sizes", "0.5"]
-    assert run(argv + ["--out", str(out)]) == 3
+    if message.startswith("unrecognized arguments"):
+        # argparse refuses a removed flag with a usage error before any
+        # command runs
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+    else:
+        assert run(argv + ["--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists() and not models.exists()
 
@@ -367,6 +386,22 @@ def test_bench_baseline_of_other_config(tmp_path, trained, capsys):
     assert run(["bench", "--models", str(models), "--points", "1500",
                 "--classes", "4", "--voxel-sizes", "0.5,0.35"]) == 2
     assert "baseline.ckpt" in capsys.readouterr().err
+
+
+def test_bench_no_fusion_set_with_fused_baseline(tmp_path, trained, capsys):
+    # the baseline never fuses, so a fused set's baseline also serves a
+    # set trained with k_fuse = 0
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / "baseline.ckpt").write_bytes((trained / "baseline.ckpt").read_bytes())
+    for name in ("scale_1.ckpt", "scale_2.ckpt"):
+        _, bcfg, frozen, extras = load_checkpoint(trained / name)
+        save_checkpoint(plain / name, init_params(bcfg), bcfg, frozen=frozen,
+                        extras=dict(extras, k_fuse=0))
+    assert run(["bench", "--models", str(plain), "--points", "1500",
+                "--classes", "4", "--voxel-sizes", "0.5,0.35"]) == 0
+    [ratio] = _of_kind(capsys.readouterr().out, "ratio")
+    assert ratio["measured_ratio"] > 0
 
 
 def test_infer_round_trip(tmp_path, trained, capsys):
@@ -606,6 +641,22 @@ def test_infer_checkpoint_bad_k_fuse(tmp_path, trained, capsys, k_fuse):
     assert run(["infer", "--in", str(scene), "--models", str(bad),
                 "--voxel-sizes", "0.5,0.35"]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("interp_neighbors", 5),
+                                        ("downsample_factor", 3.0)])
+def test_infer_checkpoint_of_other_fixed_setting(tmp_path, trained, capsys,
+                                                 key, value):
+    scene = tmp_path / "t.rspc"
+    run(["generate", "--points", "400", "--classes", "4", "--out", str(scene)])
+    bad = tmp_path / "m"
+    bad.mkdir()
+    params, bcfg, frozen, extras = load_checkpoint(trained / "scale_1.ckpt")
+    save_checkpoint(bad / "scale_1.ckpt", params, bcfg, frozen=frozen,
+                    extras=dict(extras, **{key: value}))
+    assert run(["infer", "--in", str(scene), "--models", str(bad),
+                "--voxel-sizes", "0.5"]) == 2
+    assert f"trained with {key}={value!r}" in capsys.readouterr().err
 
 
 def test_infer_non_finite_checkpoint(tmp_path, trained, capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from scaleseg.config import (
     ConfigError,
-    as_bool,
     as_float,
     as_float_list,
     as_int,
@@ -46,15 +45,12 @@ def test_check_known():
 
 
 def test_typed_accessors():
-    cfg = {"n": "7", "x": "2.5", "flag": "true", "off": "0",
-           "xs": "1.0, 0.5", "bad": "zippy"}
+    cfg = {"n": "7", "x": "2.5", "xs": "1.0, 0.5", "bad": "zippy"}
     assert as_int(cfg, "n", 0) == 7
     assert as_int(cfg, "missing", 3) == 3
     assert as_float(cfg, "x", 0.0) == 2.5
-    assert as_bool(cfg, "flag", False) is True
-    assert as_bool(cfg, "off", True) is False
     assert as_float_list(cfg, "xs", ()) == (1.0, 0.5)
     assert as_float_list(cfg, "missing", (0.2,)) == (0.2,)
-    for fn in (as_int, as_float, as_bool, as_float_list):
+    for fn in (as_int, as_float, as_float_list):
         with pytest.raises(ConfigError):
             fn(cfg, "bad", None)

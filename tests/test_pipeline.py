@@ -30,8 +30,7 @@ def make_setup(n_points=2500, seed=0, num_classes=5, feature_dim=6):
     parts = build_partitions(cloud, PartitionConfig(voxel_sizes=VOXELS,
                                                     rng_seed=seed))
     bcfg = BackboneConfig(num_classes=num_classes, feature_dim=feature_dim,
-                          attention_neighbors=4, encoder_stages=2,
-                          downsample_factor=2.0, interp_neighbors=3)
+                          attention_neighbors=4, encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=4)
     models = [ScaleModel(init_params(bcfg, seed=seed + i, with_fusion=(i > 0)))
               for i in range(len(VOXELS))]
@@ -668,8 +667,7 @@ def test_single_scale_pipeline_degenerate():
     parts = build_partitions(cloud, PartitionConfig(voxel_sizes=(0.3,),
                                                     rng_seed=8))
     bcfg = BackboneConfig(num_classes=4, feature_dim=4, attention_neighbors=4,
-                          encoder_stages=2, downsample_factor=2.0,
-                          interp_neighbors=3)
+                          encoder_stages=2)
     pcfg = PipelineConfig(backbone=bcfg, k_fuse=4)
     models = [ScaleModel(init_params(bcfg, seed=0))]
     preds, report = run_pipeline(models, cloud, parts, pcfg)

@@ -29,8 +29,7 @@ def make_scenes(count=2, n_points=1200, num_classes=3, seed=0):
 
 def make_cfg(num_classes=3):
     bcfg = BackboneConfig(num_classes=num_classes, feature_dim=8,
-                          attention_neighbors=4, encoder_stages=2,
-                          downsample_factor=2.0, interp_neighbors=3)
+                          attention_neighbors=4, encoder_stages=2)
     return PipelineConfig(backbone=bcfg, k_fuse=4)
 
 
@@ -38,8 +37,7 @@ def test_train_scale1_loss_decreases():
     scenes = make_scenes()
     pcfg = make_cfg()
     model = ScaleModel(init_params(pcfg.backbone, seed=1))
-    tcfg = TrainConfig(epochs=8, batch_size=2, learning_rate=0.05,
-                       momentum=0.9, rng_seed=0)
+    tcfg = TrainConfig(epochs=8, batch_size=2, learning_rate=0.05, rng_seed=0)
     losses = train_scale([model], 1, scenes, pcfg, tcfg)
     assert len(losses) == 8
     assert losses[-1] < losses[0]
@@ -49,8 +47,7 @@ def test_train_scale1_loss_decreases():
 def test_train_deterministic():
     scenes = make_scenes()
     pcfg = make_cfg()
-    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.05,
-                       momentum=0.9, rng_seed=7)
+    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.05, rng_seed=7)
     m1 = ScaleModel(init_params(pcfg.backbone, seed=1))
     l1 = train_scale([m1], 1, scenes, pcfg, tcfg)
     m2 = ScaleModel(init_params(pcfg.backbone, seed=1))
@@ -65,8 +62,7 @@ def test_zero_learning_rate_is_noop():
     pcfg = make_cfg()
     model = ScaleModel(init_params(pcfg.backbone, seed=2))
     before = {k: v.copy() for k, v in model.params.items()}
-    tcfg = TrainConfig(epochs=2, batch_size=1, learning_rate=0.0,
-                       momentum=0.9, rng_seed=0)
+    tcfg = TrainConfig(epochs=2, batch_size=1, learning_rate=0.0, rng_seed=0)
     train_scale([model], 1, scenes, pcfg, tcfg)
     for k in before:
         assert np.array_equal(model.params[k], before[k])
@@ -75,8 +71,7 @@ def test_zero_learning_rate_is_noop():
 def test_frozen_lower_scale_untouched_by_scale2_training():
     scenes = make_scenes()
     pcfg = make_cfg()
-    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.05,
-                       momentum=0.9, rng_seed=1)
+    tcfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.05, rng_seed=1)
     m1 = ScaleModel(init_params(pcfg.backbone, seed=1))
     train_scale([m1], 1, scenes, pcfg, tcfg)
     m1.freeze()
@@ -95,7 +90,7 @@ def _scale2_losses(epochs, n_points=900):
     m1.freeze()
     m2 = ScaleModel(init_params(pcfg.backbone, seed=2, with_fusion=True))
     tcfg = TrainConfig(epochs=epochs, batch_size=2, learning_rate=0.05,
-                       momentum=0.9, rng_seed=3)
+                       rng_seed=3)
     return train_scale([m1, m2], 2, scenes, pcfg, tcfg)
 
 
@@ -150,8 +145,7 @@ def test_train_scale_without_fusion_runs_no_frozen_forward(monkeypatch):
 
     monkeypatch.setattr(pipeline, "encode", spy)
     monkeypatch.setattr(training, "encode", spy)
-    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05,
-                       momentum=0.9, rng_seed=3)
+    tcfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.05, rng_seed=3)
     losses = train_scale([m1, m2], 2, scenes, pcfg, tcfg)
     assert all(np.isfinite(losses))
     assert encoded == [2] * 4  # two scenes, two epochs, only the trainee
@@ -187,8 +181,7 @@ def test_build_store_matches_pipeline_store(monkeypatch):
 def test_train_scale_preconditions():
     scenes = make_scenes(count=1)
     pcfg = make_cfg()
-    tcfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.01,
-                       momentum=0.9, rng_seed=0)
+    tcfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.01, rng_seed=0)
     frozen = ScaleModel(init_params(pcfg.backbone, seed=0))
     frozen.freeze()
     with pytest.raises(ValueError):
@@ -206,8 +199,7 @@ def test_train_requires_labels():
     cloud, parts = scenes[0]
     bare = PointCloud(cloud.positions, cloud.colors)
     pcfg = make_cfg()
-    tcfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.01,
-                       momentum=0.9, rng_seed=0)
+    tcfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.01, rng_seed=0)
     model = ScaleModel(init_params(pcfg.backbone, seed=0))
     with pytest.raises(ValueError):
         train_scale([model], 1, [(bare, parts)], pcfg, tcfg)
@@ -220,8 +212,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(momentum=1.5)
 
 
 def test_evaluate_rows_and_matrices():
